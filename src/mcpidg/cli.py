@@ -19,9 +19,10 @@ from contextlib import contextmanager
 from typing import Any
 
 from . import __version__, bench as bench_mod, harness
+from .httpserve import BindFailure
 from .idp import IdpConfig, default_users, load_fixtures, serve_idp
 from .policy import PolicyError, PolicyTable, load_policy_file
-from .server import BindFailure, ServerConfig, serve
+from .server import ServerConfig, serve
 from .stack import LocalStack, start_stack
 from .tokens import mask_subject
 from .tokenstore import TokenStore
@@ -127,10 +128,8 @@ def cmd_serve_idp(args: argparse.Namespace) -> int:
         return EXIT_INFRASTRUCTURE
     log.info("identity provider ready; issuer %s", handle.issuer)
     log.info("discovery: %s/.well-known/openid-configuration", handle.issuer)
-    try:
+    with handle:
         _wait_for_signal()
-    finally:
-        handle.stop()
     log.info("identity provider stopped")
     return EXIT_OK
 
@@ -166,10 +165,8 @@ def cmd_serve_mcp(args: argparse.Namespace) -> int:
         return EXIT_INFRASTRUCTURE
     log.info("resource server ready at %s", handle.resource_url)
     log.info("protected-resource metadata: %s", handle.metadata_url)
-    try:
+    with handle:
         _wait_for_signal()
-    finally:
-        handle.stop()
     log.info("resource server stopped")
     return EXIT_OK
 

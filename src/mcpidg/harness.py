@@ -336,31 +336,28 @@ def run_sequence(
             transcript, mcp_url, persona, client_id, redirect_uri, scopes, token_store, fail
         )
 
+    def post(body: dict[str, Any]) -> httpclient.HttpReply:
+        try:
+            return _mcp_post(mcp_url, body, token, bearer_mode)
+        except TransportError as exc:
+            raise fail(10, str(exc))
+
     # Step 10: authenticated MCP traffic up to the tools/call request.
     preliminary: list[str] = []
     with _StepTimer() as timer:
-        try:
-            init_reply = _mcp_post(
-                mcp_url, _rpc_body("initialize", request_id=1), token, bearer_mode
-            )
-        except TransportError as exc:
-            raise fail(10, str(exc))
+        init_reply = post(_rpc_body("initialize", request_id=1))
         if init_reply.status == 401:
             raise fail(10, "server rejected the bearer token on initialize")
         if init_reply.status != 200:
             raise fail(10, f"initialize returned {init_reply.status}")
         preliminary.append("initialize -> 200")
 
-        notify_reply = _mcp_post(
-            mcp_url, _rpc_body("notifications/initialized"), token, bearer_mode
-        )
+        notify_reply = post(_rpc_body("notifications/initialized"))
         if notify_reply.status != 202:
             raise fail(10, f"initialized notification returned {notify_reply.status}, wanted 202")
         preliminary.append("notifications/initialized -> 202")
 
-        list_reply = _mcp_post(
-            mcp_url, _rpc_body("tools/list", request_id=2), token, bearer_mode
-        )
+        list_reply = post(_rpc_body("tools/list", request_id=2))
         if list_reply.status != 200:
             raise fail(10, f"tools/list returned {list_reply.status}")
         preliminary.append("tools/list -> 200")
@@ -370,7 +367,7 @@ def run_sequence(
             request_id=3,
             params={"name": tool, "arguments": tool_arguments or {}},
         )
-        call_reply = _mcp_post(mcp_url, call_body, token, bearer_mode)
+        call_reply = post(call_body)
         if call_reply.status == 401:
             raise fail(10, "server rejected the bearer token on tools/call")
         if call_reply.status != 200:

@@ -18,15 +18,15 @@ import secrets
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
-from http import client as http_client_mod
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
+from . import httpserve
 from .tokens import b64url_encode
 
 log = logging.getLogger("mcpidg.idp")
@@ -96,7 +96,6 @@ class AuthorizationCodeRecord:
     username: str
     scopes: frozenset[str]
     expires_at: float
-    consumed: bool = False
 
 
 @dataclass
@@ -348,6 +347,7 @@ class MockIdp:
         requested = frozenset(params.get("scope", "").split())
         granted = requested & user.grantable_scopes
         code = secrets.token_urlsafe(32)  # 256 bits of entropy
+        now = self._clock()
         record = AuthorizationCodeRecord(
             code=code,
             client_id=client_id,
@@ -356,9 +356,15 @@ class MockIdp:
             challenge_method=method,
             username=username,
             scopes=granted,
-            expires_at=self._clock() + self.code_lifetime,
+            expires_at=now + self.code_lifetime,
         )
         with self._code_lock:
+            # Codes are stored oldest first, so the expired ones lead.
+            while self._codes:
+                oldest = next(iter(self._codes.values()))
+                if oldest.expires_at >= now:
+                    break
+                del self._codes[oldest.code]
             self._codes[code] = record
         query = {"code": code}
         if params.get("state"):
@@ -379,9 +385,7 @@ class MockIdp:
         with self._code_lock:
             record = self._codes.get(code)
             if record is None:
-                raise InvalidGrant("unknown authorization code")
-            if record.consumed:
-                raise InvalidGrant("authorization code already redeemed")
+                raise InvalidGrant("unknown or already redeemed authorization code")
             if now > record.expires_at:
                 raise InvalidGrant("authorization code expired")
             if record.client_id != params.get("client_id"):
@@ -392,7 +396,7 @@ class MockIdp:
                 raise PkceVerificationFailed(
                     "code_verifier does not match the bound code_challenge"
                 )
-            record.consumed = True
+            del self._codes[code]  # single use
         token = self.sign_claims(
             self.standard_claims(record.username, record.scopes)
         )
@@ -419,51 +423,14 @@ class IdpConfig:
     def host(self) -> str:
         return self.bind_address.rsplit(":", 1)[0]
 
-    @property
-    def port(self) -> int:
-        return int(self.bind_address.rsplit(":", 1)[1])
 
-
-class _IdpHttpServer(ThreadingHTTPServer):
-    daemon_threads = False
-    block_on_close = True
-    core: MockIdp
-    prefix: str
-    counters: dict[str, int]
-    counter_lock: threading.Lock
-
-    def handle_error(self, request, client_address) -> None:
-        log.debug("connection error from %s", client_address, exc_info=True)
-
-
-class _IdpHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _IdpHandler(httpserve.Handler):
     server_version = "mcpidg-idp"
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        pass
-
-    def _count(self, endpoint: str) -> None:
-        srv = self.server  # type: ignore[assignment]
-        with srv.counter_lock:
-            srv.counters[endpoint] = srv.counters.get(endpoint, 0) + 1
-            srv.counters["total"] = srv.counters.get("total", 0) + 1
-
-    def _reply(self, status: int, body: bytes, headers: dict[str, str] | None = None) -> None:
-        reason = http_client_mod.responses.get(status, "")
-        log.info('"%s %s HTTP/1.1" %d %s', self.command, self.path.split("?")[0], status, reason)
-        self.send_response(status)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-        self.close_connection = True
+    log = log
+    log_query = False
 
     def _reply_json(self, doc: dict[str, Any], status: int = 200) -> None:
-        self._reply(
+        self.reply(
             status,
             json.dumps(doc).encode("utf-8"),
             {"Content-Type": "application/json"},
@@ -476,37 +443,38 @@ class _IdpHandler(BaseHTTPRequestHandler):
         )
 
     def do_GET(self) -> None:
-        srv = self.server  # type: ignore[assignment]
+        srv: IdpHandle = self.server  # type: ignore[assignment]
         parts = urlsplit(self.path)
         path = parts.path
         prefix = srv.prefix
         if path == f"{prefix}/.well-known/openid-configuration":
-            self._count("discovery")
+            srv.count("discovery")
             self._reply_json(srv.core.discovery_document())
         elif path == f"{prefix}/jwks":
-            self._count("jwks")
+            srv.count("jwks")
             self._reply_json(srv.core.jwks_document())
         elif path == f"{prefix}/authorize":
-            self._count("authorize")
+            srv.count("authorize")
             params = {k: v[0] for k, v in parse_qs(parts.query).items()}
             try:
                 location = srv.core.handle_authorize(params)
             except IdpError as exc:
                 self._reply_error(exc)
                 return
-            self._reply(302, b"", {"Location": location})
+            self.reply(302, headers={"Location": location})
         else:
-            self._reply(404, b"")
+            self.reply(404)
 
     def do_POST(self) -> None:
-        srv = self.server  # type: ignore[assignment]
+        srv: IdpHandle = self.server  # type: ignore[assignment]
         if urlsplit(self.path).path != f"{srv.prefix}/token":
-            self._reply(404, b"")
+            self.reply(404)
             return
-        self._count("token")
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length).decode("utf-8") if length else ""
-        params = {k: v[0] for k, v in parse_qs(body).items()}
+        srv.count("token")
+        body = self.read_body()
+        if body is None:
+            return
+        params = {k: v[0] for k, v in parse_qs(body.decode("utf-8")).items()}
         try:
             response = srv.core.handle_token(params)
         except IdpError as exc:
@@ -515,55 +483,41 @@ class _IdpHandler(BaseHTTPRequestHandler):
         self._reply_json(response)
 
 
-class IdpHandle:
+class IdpHandle(httpserve.HttpServer):
     """A running mock identity provider with per-endpoint request counters."""
 
-    def __init__(self, httpd: _IdpHttpServer, thread: threading.Thread, core: MockIdp):
-        self._httpd = httpd
-        self._thread = thread
-        self.core = core
+    core: MockIdp
+    prefix: str
+
+    def __init__(self, bind_address: str):
+        super().__init__(bind_address, _IdpHandler)
+        self._counters: Counter[str] = Counter()
+        self._counter_lock = threading.Lock()
 
     @property
     def issuer(self) -> str:
         return self.core.issuer
 
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
+    def count(self, endpoint: str) -> None:
+        with self._counter_lock:
+            self._counters.update((endpoint, "total"))
 
     def counters(self) -> dict[str, int]:
-        with self._httpd.counter_lock:
-            return dict(self._httpd.counters)
+        with self._counter_lock:
+            return dict(self._counters)
 
     @property
     def total_requests(self) -> int:
         return self.counters().get("total", 0)
 
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=10)
-
-    def __enter__(self) -> "IdpHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
 
 def serve_idp(config: IdpConfig) -> IdpHandle:
     """Bind, resolve the issuer URL, and start the provider."""
-    from .server import BindFailure  # shared failure type for CLI handling
-
-    try:
-        httpd = _IdpHttpServer((config.host, config.port), _IdpHandler)
-    except OSError as exc:
-        raise BindFailure(f"cannot bind {config.bind_address!r}: {exc}") from exc
-    actual_port = httpd.server_address[1]
+    handle = IdpHandle(config.bind_address)
     issuer = config.issuer_url or (
-        f"http://{config.host}:{actual_port}{config.issuer_path}"
+        f"http://{config.host}:{handle.port}{config.issuer_path}"
     )
-    core = MockIdp(
+    handle.core = MockIdp(
         issuer=issuer,
         audience=config.audience,
         users=config.users,
@@ -571,14 +525,6 @@ def serve_idp(config: IdpConfig) -> IdpHandle:
         token_lifetime=config.token_lifetime,
         code_lifetime=config.code_lifetime,
     )
-    httpd.core = core
-    httpd.prefix = urlsplit(issuer).path.rstrip("/")
-    httpd.counters = {}
-    httpd.counter_lock = threading.Lock()
-    thread = threading.Thread(
-        target=lambda: httpd.serve_forever(poll_interval=0.05),
-        name="mcpidg-idp",
-        daemon=True,
-    )
-    thread.start()
-    return IdpHandle(httpd, thread, core)
+    handle.prefix = urlsplit(issuer).path.rstrip("/")
+    handle.start("mcpidg-idp")
+    return handle

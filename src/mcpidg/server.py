@@ -12,16 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
-from http import client as http_client_mod
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlsplit
 
-from . import __version__, protocol
+from . import __version__, httpserve, protocol
 from .audit import AuditLog, AuditRecord, AuditSinkFailure, utc_timestamp
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
 from .tokens import (
@@ -43,10 +40,6 @@ ENV_RESOURCE = "MCPIDG_RESOURCE"
 ENV_BIND = "MCPIDG_BIND"
 ENV_POLICY = "MCPIDG_POLICY"
 ENV_AUDIT = "MCPIDG_AUDIT"
-
-
-class BindFailure(Exception):
-    pass
 
 
 class MalformedAuthorizationHeader(Exception):
@@ -94,10 +87,6 @@ class ServerConfig:
     @property
     def host(self) -> str:
         return self.bind_address.rsplit(":", 1)[0]
-
-    @property
-    def port(self) -> int:
-        return int(self.bind_address.rsplit(":", 1)[1])
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "ServerConfig":
@@ -401,62 +390,29 @@ class McpApp:
         return self._rpc_result(protocol.RpcResponse(id=request.id, result=payload))
 
 
-class _McpHttpServer(ThreadingHTTPServer):
-    daemon_threads = False  # graceful stop waits for in-flight requests
-    block_on_close = True
-    app: McpApp
-
-    def handle_error(self, request, client_address) -> None:
-        # Client disconnects mid-response are routine, not tracebacks.
-        log.debug("connection error from %s", client_address, exc_info=True)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(httpserve.Handler):
     server_version = "mcpidg"
-
-    @property
-    def app(self) -> McpApp:
-        return self.server.app  # type: ignore[attr-defined]
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        pass  # replaced by the explicit access-log lines below
-
-    def _send(self, result: HttpResult) -> None:
-        # Logged before the body is written (the send_response convention)
-        # so observers never see a response whose line is still pending.
-        reason = http_client_mod.responses.get(result.status, "")
-        log.info('"%s %s HTTP/1.1" %d %s', self.command, self.path, result.status, reason)
-        self.send_response(result.status)
-        for name, value in result.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(result.body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        if result.body:
-            self.wfile.write(result.body)
-        self.close_connection = True
+    log = log
 
     def do_GET(self) -> None:
-        mcp_path = self.app.config.mcp_path
-        if self.path in (WELL_KNOWN_PATH, WELL_KNOWN_PATH + mcp_path):
-            self._send(self.app.metadata_result())
-            return
-        self._send(HttpResult(status=404, body=b""))
+        app: McpApp = self.server.app  # type: ignore[attr-defined]
+        if self.path in (WELL_KNOWN_PATH, WELL_KNOWN_PATH + app.config.mcp_path):
+            result = app.metadata_result()
+            self.reply(result.status, result.body, result.headers)
+        else:
+            self.reply(404)
 
     def do_POST(self) -> None:
-        if self.path != self.app.config.mcp_path:
-            self._send(HttpResult(status=404))
+        app: McpApp = self.server.app  # type: ignore[attr-defined]
+        if self.path != app.config.mcp_path:
+            self.reply(404)
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            self._send(HttpResult(status=400))
+        body = self.read_body()
+        if body is None:
             return
-        body = self.rfile.read(length) if length > 0 else b""
         headers = {k.lower(): v for k, v in self.headers.items()}
         try:
-            result = self.app.handle_mcp_post(headers, body)
+            result = app.handle_mcp_post(headers, body)
         except Exception:
             log.exception("unhandled server error")
             result = HttpResult(
@@ -466,43 +422,21 @@ class _Handler(BaseHTTPRequestHandler):
                     protocol.error_response(None, protocol.INTERNAL_ERROR, "internal error")
                 ),
             )
-        self._send(result)
+        self.reply(result.status, result.body, result.headers)
 
 
-class ServerHandle:
+class ServerHandle(httpserve.HttpServer):
     """A running resource server; stop() completes in-flight requests."""
 
-    def __init__(self, httpd: _McpHttpServer, thread: threading.Thread, app: McpApp):
-        self._httpd = httpd
-        self._thread = thread
-        self.app = app
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
+    app: McpApp
 
     @property
     def resource_url(self) -> str:
         return self.app.config.resource_url  # type: ignore[return-value]
 
     @property
-    def mcp_url(self) -> str:
-        return self.resource_url
-
-    @property
     def metadata_url(self) -> str:
         return self.app.metadata_url
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=10)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def serve(
@@ -512,25 +446,15 @@ def serve(
     fetcher: JwksFetcher = fetch_jwks_via_discovery,
 ) -> ServerHandle:
     """Bind, resolve the externally visible resource URL, and start serving."""
-    try:
-        httpd = _McpHttpServer((config.host, config.port), _Handler)
-    except OSError as exc:
-        raise BindFailure(f"cannot bind {config.bind_address!r}: {exc}") from exc
-    actual_port = httpd.server_address[1]
+    handle = ServerHandle(config.bind_address, _Handler)
     resource_url = config.resource_url or (
-        f"http://{config.host}:{actual_port}{config.mcp_path}"
+        f"http://{config.host}:{handle.port}{config.mcp_path}"
     )
     resolved = replace(
         config,
-        bind_address=f"{config.host}:{actual_port}",
+        bind_address=f"{config.host}:{handle.port}",
         resource_url=resource_url,
     )
-    app = McpApp(resolved, policy, registry, fetcher=fetcher)
-    httpd.app = app
-    thread = threading.Thread(
-        target=lambda: httpd.serve_forever(poll_interval=0.05),
-        name="mcpidg-server",
-        daemon=True,
-    )
-    thread.start()
-    return ServerHandle(httpd, thread, app)
+    handle.app = McpApp(resolved, policy, registry, fetcher=fetcher)
+    handle.start("mcpidg-server")
+    return handle

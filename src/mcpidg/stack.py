@@ -23,7 +23,7 @@ class LocalStack:
 
     @property
     def mcp_url(self) -> str:
-        return self.server.mcp_url
+        return self.server.resource_url
 
     @property
     def issuer(self) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -59,12 +60,15 @@ class TokenStore:
         payload = json.dumps({"entries": entries}, indent=2).encode("utf-8")
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        tmp_path = f"{self.path}.{os.getpid()}.tmp"
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        # A unique name per write, so concurrent writers never share one;
+        # mkstemp creates it with mode 0600.
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
+        )
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
+            os.replace(tmp_path, self.path)
         except BaseException:
             os.unlink(tmp_path)
             raise
-        os.replace(tmp_path, self.path)

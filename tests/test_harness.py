@@ -1,9 +1,12 @@
 import json
 import os
 import stat
+import sys
+import threading
 
 import pytest
 
+from mcpidg import cli, httpclient
 from mcpidg.harness import (
     AuthFlowError,
     FlowTranscript,
@@ -190,6 +193,36 @@ class TestCallTool:
             call_tool("http://127.0.0.1:9/mcp", "tok", "docs_search")
 
 
+def _refuse_after_initialize(monkeypatch):
+    """The server vanishes once initialize has been answered."""
+    real_post = httpclient.post
+
+    def post(url, body, headers=None, timeout=10.0):
+        if b"notifications/initialized" in body:
+            raise ConnectionRefusedError("connection refused")
+        return real_post(url, body, headers, timeout)
+
+    monkeypatch.setattr(httpclient, "post", post)
+
+
+class TestTransportFailureAfterInitialize:
+    def test_run_sequence_fails_at_step_10(self, stack, monkeypatch):
+        _refuse_after_initialize(monkeypatch)
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(stack.mcp_url, "developer-persona")
+        assert excinfo.value.index == 10
+        assert "refused" in excinfo.value.detail
+
+    def test_conformance_exits_1_without_traceback(self, monkeypatch, capsys):
+        _refuse_after_initialize(monkeypatch)
+        exit_code = cli.main([
+            "conformance", "--self-contained",
+            "--persona", "developer", "--tool", "docs_search",
+        ])
+        assert exit_code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestTokenStore:
     def test_put_then_get(self, tmp_path):
         store = TokenStore(str(tmp_path / "t.json"))
@@ -231,3 +264,32 @@ class TestTokenStore:
         store.put("http://b/mcp", "tok-b", expires_at=9_999_999_999)
         assert store.get("http://a/mcp").access_token == "tok-a"
         assert store.get("http://b/mcp").access_token == "tok-b"
+
+    def test_concurrent_puts_from_four_threads(self, tmp_path):
+        store = TokenStore(str(tmp_path / "t.json"))
+        errors: list[BaseException] = []
+        start = threading.Barrier(4)
+
+        def writer(name):
+            start.wait()
+            try:
+                for i in range(200):
+                    store.put(f"http://{name}/mcp", f"tok-{i}", expires_at=9_999_999_999)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=writer, args=(n,)) for n in "abcd"]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert set(doc["entries"]) <= {f"http://{n}/mcp" for n in "abcd"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]

@@ -188,6 +188,28 @@ class TestToken:
         assert "access_token" in response
 
 
+class TestCodePurge:
+    def test_no_code_record_outlives_its_redemption(self, idp_core):
+        for _ in range(25):
+            pkce = generate_pkce()
+            location = idp_core.handle_authorize(authorize_params(pkce))
+            idp_core.handle_token(token_params(code_from(location), pkce))
+        assert idp_core._codes == {}
+
+    def test_expired_codes_dropped_when_a_new_code_is_granted(self):
+        clock = [1000.0]
+        core = MockIdp(
+            issuer=TEST_ISSUER, audience=TEST_RESOURCE, clock=lambda: clock[0]
+        )
+        for _ in range(5):
+            core.handle_authorize(authorize_params(generate_pkce()))
+        clock[0] += 61.0  # past the 60 s code lifetime
+        pkce = generate_pkce()
+        fresh = code_from(core.handle_authorize(authorize_params(pkce)))
+        assert list(core._codes) == [fresh]
+        core.handle_token(token_params(fresh, pkce))
+
+
 class TestConcurrentRedemption:
     def test_exactly_one_of_n_racing_redemptions_succeeds(self, idp_core):
         pkce = generate_pkce()

@@ -6,9 +6,9 @@ import pytest
 from conftest import mcp_post, rpc
 from mcpidg import httpclient
 from mcpidg.audit import AuditRecord, AuditSinkFailure, AuditLog, read_records
+from mcpidg.httpserve import BindFailure
 from mcpidg.policy import authorize
 from mcpidg.server import (
-    BindFailure,
     MalformedAuthorizationHeader,
     ProtectedResourceMetadata,
     ServerConfig,
@@ -422,7 +422,7 @@ class TestServeLifecycle:
 
         def slow_call():
             reply = mcp_post(
-                handle.mcp_url,
+                handle.resource_url,
                 rpc("tools/call", 1, {"name": "docs_search", "arguments": {}}),
                 token,
             )
@@ -445,7 +445,7 @@ class TestServeLifecycle:
             default_policy(registry),
             registry,
         )
-        url = handle.mcp_url
+        url = handle.resource_url
         assert mcp_post(url, rpc("initialize", 1)).status == 401
         handle.stop()
         with pytest.raises(OSError):
