@@ -2,7 +2,9 @@
 
 One JSON line per record. The sink is fail-closed: if a record cannot be
 written and flushed, the request that produced it must fail rather than
-complete unrecorded.
+complete unrecorded. "Flushed" means handed to the operating system before
+the reply is sent; records are not fsync'd, so a host crash can still lose
+the last few.
 """
 
 from __future__ import annotations

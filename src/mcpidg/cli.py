@@ -285,11 +285,11 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                         after = stack.idp.total_requests if stack else -1
                         repeats.append((warm_transcript, after - before))
             except harness.StepFailure as exc:
-                print(transcript_dump(exc.transcript), file=sys.stdout)
+                print(exc.transcript.to_jsonl(), file=sys.stdout)
                 log.error("sequence failed at step %d: %s", exc.index, exc.detail)
                 return EXIT_INFRASTRUCTURE
 
-            print(transcript_dump(transcript))
+            print(transcript.to_jsonl())
             # A pre-populated token store makes even the first run warm.
             first_run_warm = transcript.step(1) is None
             _check_transcript(checks, transcript, args.expect_deny, warm=first_run_warm)
@@ -308,7 +308,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                 )
 
             for i, (warm_transcript, idp_delta) in enumerate(repeats, start=2):
-                print(transcript_dump(warm_transcript))
+                print(warm_transcript.to_jsonl())
                 _check_transcript(checks, warm_transcript, args.expect_deny, warm=True)
                 if stack is not None:
                     checks.record(
@@ -323,10 +323,6 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         if stack is not None:
             stack.stop()
     return EXIT_OK if checks.failed == 0 else EXIT_MISMATCH
-
-
-def transcript_dump(transcript: harness.FlowTranscript) -> str:
-    return transcript.to_jsonl()
 
 
 # -- bench -------------------------------------------------------------------

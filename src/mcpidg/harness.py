@@ -15,21 +15,18 @@ transcript; only the verifier's S256 digest is recorded.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import secrets
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from . import httpclient, protocol
+from .idp import DEFAULT_CLIENT_ID, DEFAULT_REDIRECT_URI, s256_challenge
 from .tokenstore import TokenStore
-
-DEFAULT_CLIENT_ID = "ide-extension"
-DEFAULT_REDIRECT_URI = "http://localhost:33418/callback"
 
 # Scope vocabulary the client is configured to request; the provider
 # narrows it to what the authenticated user may actually be granted.
@@ -125,9 +122,7 @@ class PkcePair:
 def generate_pkce() -> PkcePair:
     """Fresh high-entropy verifier (86 chars, within the 43-128 bound)."""
     verifier = secrets.token_urlsafe(64)
-    digest = hashlib.sha256(verifier.encode("ascii")).digest()
-    challenge = base64.urlsafe_b64encode(digest).rstrip(b"=").decode("ascii")
-    return PkcePair(verifier=verifier, challenge=challenge)
+    return PkcePair(verifier=verifier, challenge=s256_challenge(verifier))
 
 
 def parse_www_authenticate(value: str) -> dict[str, str]:
@@ -147,7 +142,7 @@ def parse_www_authenticate(value: str) -> dict[str, str]:
 
 def _mcp_post(
     mcp_url: str,
-    body: dict[str, Any],
+    request: protocol.RpcRequest,
     token: str | None,
     bearer_mode: str = "header",
 ) -> httpclient.HttpReply:
@@ -156,25 +151,14 @@ def _mcp_post(
         if bearer_mode == "header":
             headers["Authorization"] = f"Bearer {token}"
         elif bearer_mode == "body":
-            body = dict(body)
-            params = dict(body.get("params") or {})
-            params["authorization"] = token
-            body["params"] = params
+            params = {**(request.params or {}), "authorization": token}
+            request = replace(request, params=params)
         else:
             raise ValueError(f"unknown bearer mode {bearer_mode!r}")
     try:
-        return httpclient.post(mcp_url, json.dumps(body).encode("utf-8"), headers)
+        return httpclient.post(mcp_url, protocol.encode_request(request), headers)
     except OSError as exc:
         raise TransportError(f"POST {mcp_url} failed: {exc}") from exc
-
-
-def _rpc_body(method: str, request_id: Any = None, params: dict | None = None) -> dict:
-    doc: dict[str, Any] = {"jsonrpc": "2.0", "method": method}
-    if request_id is not None:
-        doc["id"] = request_id
-    if params is not None:
-        doc["params"] = params
-    return doc
 
 
 def discover_oidc(issuer: str) -> dict[str, Any]:
@@ -270,12 +254,12 @@ def call_tool(
     bearer_mode: str = "header",
 ) -> protocol.RpcResponse:
     """One authenticated tools/call; returns the parsed JSON-RPC response."""
-    body = _rpc_body(
+    request = protocol.RpcRequest(
         "tools/call",
-        request_id=str(uuid.uuid4()),
+        id=str(uuid.uuid4()),
         params={"name": tool, "arguments": arguments or {}},
     )
-    reply = _mcp_post(mcp_url, body, token, bearer_mode)
+    reply = _mcp_post(mcp_url, request, token, bearer_mode)
     if reply.status == 401:
         raise Unauthorized(f"server rejected the bearer token for {tool!r}")
     if reply.status != 200:
@@ -336,38 +320,38 @@ def run_sequence(
             transcript, mcp_url, persona, client_id, redirect_uri, scopes, token_store, fail
         )
 
-    def post(body: dict[str, Any]) -> httpclient.HttpReply:
+    def post(request: protocol.RpcRequest) -> httpclient.HttpReply:
         try:
-            return _mcp_post(mcp_url, body, token, bearer_mode)
+            return _mcp_post(mcp_url, request, token, bearer_mode)
         except TransportError as exc:
             raise fail(10, str(exc))
 
     # Step 10: authenticated MCP traffic up to the tools/call request.
     preliminary: list[str] = []
     with _StepTimer() as timer:
-        init_reply = post(_rpc_body("initialize", request_id=1))
+        init_reply = post(protocol.RpcRequest("initialize", id=1))
         if init_reply.status == 401:
             raise fail(10, "server rejected the bearer token on initialize")
         if init_reply.status != 200:
             raise fail(10, f"initialize returned {init_reply.status}")
         preliminary.append("initialize -> 200")
 
-        notify_reply = post(_rpc_body("notifications/initialized"))
+        notify_reply = post(protocol.RpcRequest("notifications/initialized"))
         if notify_reply.status != 202:
             raise fail(10, f"initialized notification returned {notify_reply.status}, wanted 202")
         preliminary.append("notifications/initialized -> 202")
 
-        list_reply = post(_rpc_body("tools/list", request_id=2))
+        list_reply = post(protocol.RpcRequest("tools/list", id=2))
         if list_reply.status != 200:
             raise fail(10, f"tools/list returned {list_reply.status}")
         preliminary.append("tools/list -> 200")
 
-        call_body = _rpc_body(
+        call_request = protocol.RpcRequest(
             "tools/call",
-            request_id=3,
+            id=3,
             params={"name": tool, "arguments": tool_arguments or {}},
         )
-        call_reply = post(call_body)
+        call_reply = post(call_request)
         if call_reply.status == 401:
             raise fail(10, "server rejected the bearer token on tools/call")
         if call_reply.status != 200:
@@ -416,7 +400,7 @@ def _cold_start(
     """Steps 1-9: challenge, discovery, PKCE code flow. Returns the token."""
     with _StepTimer() as timer:
         try:
-            bare = _mcp_post(mcp_url, _rpc_body("initialize", request_id=0), token=None)
+            bare = _mcp_post(mcp_url, protocol.RpcRequest("initialize", id=0), token=None)
         except TransportError as exc:
             raise fail(1, str(exc))
     transcript.add(

@@ -82,8 +82,6 @@ class UserRecord:
 class ClientRegistration:
     client_id: str
     redirect_uris: frozenset[str]
-    public: bool = True
-    pkce_required: bool = True
 
 
 @dataclass
@@ -92,7 +90,6 @@ class AuthorizationCodeRecord:
     client_id: str
     redirect_uri: str
     code_challenge: str
-    challenge_method: str
     username: str
     scopes: frozenset[str]
     expires_at: float
@@ -353,7 +350,6 @@ class MockIdp:
             client_id=client_id,
             redirect_uri=redirect_uri,
             code_challenge=challenge,
-            challenge_method=method,
             username=username,
             scopes=granted,
             expires_at=now + self.code_lifetime,

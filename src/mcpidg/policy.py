@@ -3,7 +3,7 @@
 Authorization is a conjunction: a rule must grant the tool to one of the
 identity's roles AND the identity's scopes must cover the tool's required
 scopes. Anything not explicitly allowed is denied, with a machine-readable
-reason. Tables are immutable after load; reloading swaps the whole table.
+reason. Tables are immutable after load.
 """
 
 from __future__ import annotations
@@ -28,16 +28,11 @@ class UnknownToolInPolicy(PolicyError):
         self.role = role
 
 
-class DuplicateRuleConflict(PolicyError):
-    """Reserved: cannot occur under union merge semantics."""
-
-
 @dataclass(frozen=True)
 class ToolDescriptor:
     name: str
     description: str
     required_scopes: frozenset[str]
-    handler: str
 
 
 class ToolRegistry:
@@ -52,7 +47,6 @@ class ToolRegistry:
         description: str,
         required_scopes: Iterable[str],
         handler: Callable[[dict], dict],
-        handler_id: str | None = None,
     ) -> ToolDescriptor:
         if name in self._tools:
             raise ValueError(f"tool {name!r} already registered")
@@ -60,7 +54,6 @@ class ToolRegistry:
             name=name,
             description=description,
             required_scopes=frozenset(required_scopes),
-            handler=handler_id or name,
         )
         self._tools[name] = (descriptor, handler)
         return descriptor
@@ -91,13 +84,6 @@ class PolicyRule:
 @dataclass(frozen=True)
 class PolicyTable:
     rules: tuple[PolicyRule, ...]
-    default_decision: str = "deny"
-
-    def rule_for(self, role: str) -> PolicyRule | None:
-        for rule in self.rules:
-            if rule.role == role:
-                return rule
-        return None
 
 
 class HasRolesAndScopes(Protocol):

@@ -2,9 +2,10 @@
 
 The server dispatches exactly four methods: ``initialize``, the
 ``notifications/initialized`` notification, ``tools/list`` and
-``tools/call``. Messages are immutable values; ``decode_*`` and
-``encode_*`` are inverses on the valid message space. A message without
-an ``id`` is a notification and must never receive an RPC reply.
+``tools/call``. Messages are immutable values; ``decode_*`` (requests
+after ``parse_json``) and ``encode_*`` are inverses on the valid message
+space. A message without an ``id`` is a notification and must never
+receive an RPC reply.
 """
 
 from __future__ import annotations
@@ -96,16 +97,20 @@ def _valid_id(value: Any) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
-def decode_request(data: bytes) -> RpcRequest:
-    """Parse and validate one request document.
-
-    Raises ParseError for non-JSON input and InvalidRequest for shape
-    violations, including any protocol version other than "2.0".
-    """
+def parse_json(data: bytes) -> Any:
+    """Decode one UTF-8 JSON document; raises ParseError otherwise."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed JSON body: {exc}") from exc
+
+
+def decode_request(doc: Any) -> RpcRequest:
+    """Validate the shape of one parsed request document.
+
+    Raises InvalidRequest for shape violations, including any protocol
+    version other than "2.0".
+    """
     if not isinstance(doc, dict):
         raise InvalidRequest("request must be a JSON object")
 
@@ -134,10 +139,7 @@ def decode_request(data: bytes) -> RpcRequest:
 
 def decode_response(data: bytes) -> RpcResponse:
     """Parse one response document (used by the client harness)."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"malformed JSON body: {exc}") from exc
+    doc = parse_json(data)
     if not isinstance(doc, dict) or doc.get("jsonrpc") != JSONRPC_VERSION:
         raise InvalidRequest("response must be a JSON-RPC 2.0 object")
     has_result = "result" in doc

@@ -2,9 +2,9 @@
 
 Serves the OAuth-protected-resource discovery document, challenges
 unauthenticated requests with a machine-followable WWW-Authenticate
-header, validates bearer tokens before any request parsing, dispatches
-authorized tool calls, and appends one audit record per tool invocation
-(fail-closed).
+header, validates bearer tokens before the JSON-RPC request is decoded,
+dispatches authorized tool calls, and appends one audit record per tool
+invocation (fail-closed).
 """
 
 from __future__ import annotations
@@ -113,10 +113,11 @@ def metadata_document(config: ServerConfig) -> ProtectedResourceMetadata:
     )
 
 
-def extract_bearer(headers: dict[str, str], body: bytes) -> str | None:
+def extract_bearer(headers: dict[str, str], doc: Any) -> str | None:
     """Token from the Authorization header, else from params.authorization.
 
-    The header wins when both are present. Raises
+    ``doc`` is the parsed POST body, or None when it is not JSON. The
+    header wins when both are present. Raises
     MalformedAuthorizationHeader for non-Bearer schemes or an empty
     credential; returns None when nothing was presented at all.
     """
@@ -129,12 +130,6 @@ def extract_bearer(headers: dict[str, str], body: bytes) -> str | None:
                 f"authorization scheme {scheme!r} is not a usable Bearer credential"
             )
         return credential
-    # Tolerant peek only: a malformed body is handled later, after the
-    # request is (un)authenticated through some other channel.
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
     if isinstance(doc, dict):
         params = doc.get("params")
         if isinstance(params, dict):
@@ -164,7 +159,7 @@ class McpApp:
         if config.resource_url is None:
             raise ValueError("resource_url must be resolved before serving")
         self.config = config
-        self.policy = policy  # swapped atomically on reload
+        self.policy = policy
         self.registry = registry
         self.cache = JwksCache(ttl=config.jwks_ttl)
         self.audit = AuditLog(config.audit_sink)
@@ -178,9 +173,6 @@ class McpApp:
         origin = urlsplit(config.resource_url)
         self.metadata_url = f"{origin.scheme}://{origin.netloc}{WELL_KNOWN_PATH}"
         self.metadata = metadata_document(config)
-
-    def reload_policy(self, policy: PolicyTable) -> None:
-        self.policy = policy
 
     # -- responses ---------------------------------------------------------
 
@@ -249,7 +241,7 @@ class McpApp:
     # -- pipeline ----------------------------------------------------------
 
     def handle_mcp_post(self, headers: dict[str, str], body: bytes) -> HttpResult:
-        """Authentication strictly precedes request parsing and dispatch."""
+        """Authentication strictly precedes JSON-RPC decoding and dispatch."""
         started = time.perf_counter()
 
         def audit_unauthenticated(reason: str, validation_us: int = 0) -> None:
@@ -264,8 +256,15 @@ class McpApp:
                 started=started,
             )
 
+        # A body that is not JSON is answered only after authentication.
+        parse_error = None
         try:
-            token = extract_bearer(headers, body)
+            doc = protocol.parse_json(body)
+        except protocol.ParseError as exc:
+            doc, parse_error = None, exc
+
+        try:
+            token = extract_bearer(headers, doc)
         except MalformedAuthorizationHeader:
             audit_unauthenticated("malformed_authorization_header")
             return self.challenge(token_presented=True)
@@ -284,10 +283,10 @@ class McpApp:
             return self.challenge(token_presented=True)
         validation_us = int((time.perf_counter() - validation_started) * 1e6)
 
+        if parse_error is not None:
+            return self._rpc_error(None, parse_error.code, str(parse_error))
         try:
-            request = protocol.decode_request(body)
-        except protocol.ParseError as exc:
-            return self._rpc_error(None, exc.code, str(exc))
+            request = protocol.decode_request(doc)
         except protocol.InvalidRequest as exc:
             return self._rpc_error(exc.request_id, exc.code, str(exc))
 

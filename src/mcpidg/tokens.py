@@ -104,35 +104,16 @@ class CompactJwt:
     signing_input: bytes
 
     @property
-    def alg(self) -> str:
-        return self.header.get("alg", "")
-
-    @property
     def kid(self) -> str:
         return self.header.get("kid", "")
-
-
-@dataclass(frozen=True)
-class ClaimSet:
-    """Validated identity claims extracted from a verified token."""
-
-    issuer: str
-    subject: str
-    audience: frozenset[str]
-    expires_at: int
-    issued_at: int
-    not_before: int | None
-    scopes: frozenset[str]
-    roles: frozenset[str]
-    raw: dict[str, Any]
 
 
 @dataclass(frozen=True)
 class ValidatedIdentity:
     """The principal attached to a request.
 
-    Instances are produced by :func:`verify_bearer` only; nothing else in
-    the system may mint one.
+    Instances are built by :func:`validate_claims`, whose only caller in
+    the package is :func:`verify_bearer`; nothing else may mint one.
     """
 
     subject: str
@@ -163,9 +144,6 @@ class JwkSet:
             if key.get("kid") == kid:
                 return key
         return None
-
-    def to_document(self) -> dict[str, Any]:
-        return {"keys": list(self.keys)}
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -258,7 +236,7 @@ def validate_claims(
     required_scopes: frozenset[str],
     now: float,
     skew: float = DEFAULT_CLOCK_SKEW,
-) -> ClaimSet:
+) -> ValidatedIdentity:
     """Semantic validation of signature-verified claims.
 
     Checks run in a fixed order so each single-field defect maps to one
@@ -283,7 +261,6 @@ def validate_claims(
     if now > exp + skew:
         raise Expired(f"token expired at {int(exp)} (now {int(now)})")
     nbf = claims.get("nbf")
-    not_before = None
     if isinstance(nbf, (int, float)) and not isinstance(nbf, bool):
         not_before = int(nbf)
         if now < not_before - skew:
@@ -295,16 +272,12 @@ def validate_claims(
     subject = claims.get("sub")
     if not isinstance(subject, str) or not subject:
         raise MalformedToken("sub claim missing or empty")
-    return ClaimSet(
-        issuer=claims["iss"],
+    return ValidatedIdentity(
         subject=subject,
-        audience=audience,
-        expires_at=int(exp),
-        issued_at=iat,
-        not_before=not_before,
         scopes=scopes,
         roles=_role_set(claims),
-        raw=dict(claims),
+        expires_at=int(exp),
+        issuer=claims["iss"],
     )
 
 
@@ -421,11 +394,6 @@ class JwksCache:
             return self.stats.snapshot()
 
 
-def get_keys(issuer: str, cache: JwksCache, fetcher: JwksFetcher) -> JwkSet:
-    """Fresh keys from cache (hit) or via one coalesced fetch (miss)."""
-    return cache.get(issuer, fetcher)
-
-
 def mask_subject(subject: str) -> str:
     """First character kept, the rest replaced by asterisks."""
     if not subject:
@@ -448,34 +416,27 @@ def verify_bearer(
     now: float | None = None,
     fetcher: JwksFetcher = fetch_jwks_via_discovery,
 ) -> ValidatedIdentity:
-    """Full bearer validation; the only constructor of ValidatedIdentity.
+    """Full bearer validation; the package's only caller of validate_claims.
 
     An UnknownKeyId triggers exactly one forced cache refresh (covers key
     rotation between fetches) before the failure propagates.
     """
     log.info("Verifying token...")
     jwt = parse_compact(token)
-    keys = get_keys(config.issuer, cache, fetcher)
+    keys = cache.get(config.issuer, fetcher)
     try:
         claims = verify_signature(jwt, keys)
     except UnknownKeyId:
         cache.invalidate(config.issuer)
-        keys = get_keys(config.issuer, cache, fetcher)
+        keys = cache.get(config.issuer, fetcher)
         claims = verify_signature(jwt, keys)
-    claim_set = validate_claims(
+    identity = validate_claims(
         claims,
         expected_issuer=config.issuer,
         expected_resource=config.resource,
         required_scopes=config.required_scopes,
         now=time.time() if now is None else now,
         skew=config.skew,
-    )
-    identity = ValidatedIdentity(
-        subject=claim_set.subject,
-        scopes=claim_set.scopes,
-        roles=claim_set.roles,
-        expires_at=claim_set.expires_at,
-        issuer=claim_set.issuer,
     )
     log.info("Authenticated user: %s", mask_subject(identity.subject))
     return identity

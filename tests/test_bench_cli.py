@@ -234,29 +234,29 @@ class TestServeCommands:
         assert code == 1
 
     def test_serve_idp_runs_until_signalled(self, tmp_path):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "mcpidg.cli", "serve-idp", "--bind", "127.0.0.1:0"],
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            issuer = None
-            deadline = time.time() + 10
-            while time.time() < deadline:
-                line = proc.stderr.readline()
-                if "issuer" in line:
-                    issuer = line.rsplit("issuer ", 1)[1].strip()
-                    break
-            assert issuer, "server never reported readiness"
-            reply = httpclient.get(f"{issuer}/.well-known/openid-configuration")
-            assert reply.status == 200
-            assert reply.json()["issuer"] == issuer
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+        ) as proc:
+            try:
+                issuer = None
+                deadline = time.time() + 10
+                while time.time() < deadline:
+                    line = proc.stderr.readline()
+                    if "issuer" in line:
+                        issuer = line.rsplit("issuer ", 1)[1].strip()
+                        break
+                assert issuer, "server never reported readiness"
+                reply = httpclient.get(f"{issuer}/.well-known/openid-configuration")
+                assert reply.status == 200
+                assert reply.json()["issuer"] == issuer
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
 
     def test_serve_mcp_runs_until_signalled(self, tmp_path):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "mcpidg.cli", "serve-mcp",
                 "--bind", "127.0.0.1:0",
@@ -264,21 +264,21 @@ class TestServeCommands:
             ],
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            resource = None
-            deadline = time.time() + 10
-            while time.time() < deadline:
-                line = proc.stderr.readline()
-                if "ready at" in line:
-                    resource = line.rsplit("ready at ", 1)[1].strip()
-                    break
-            assert resource, "server never reported readiness"
-            reply = httpclient.post(
-                resource, b'{"jsonrpc":"2.0","id":1,"method":"initialize"}',
-                {"Content-Type": "application/json"},
-            )
-            assert reply.status == 401
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+        ) as proc:
+            try:
+                resource = None
+                deadline = time.time() + 10
+                while time.time() < deadline:
+                    line = proc.stderr.readline()
+                    if "ready at" in line:
+                        resource = line.rsplit("ready at ", 1)[1].strip()
+                        break
+                assert resource, "server never reported readiness"
+                reply = httpclient.post(
+                    resource, b'{"jsonrpc":"2.0","id":1,"method":"initialize"}',
+                    {"Content-Type": "application/json"},
+                )
+                assert reply.status == 401
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0

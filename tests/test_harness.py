@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import sys
 import threading
@@ -87,8 +88,10 @@ class TestColdSequence:
 
     def test_transcript_shape_exactly_one_challenge(self, stack):
         transcript = run_sequence(stack.mcp_url, "developer-persona")
+        # Match the status, not "401" inside a URL's port (e.g. :40197).
         challenged = [
-            s for s in transcript.steps if "401" in s.response_summary
+            s for s in transcript.steps
+            if re.search(r"(^|status )401\b", s.response_summary)
         ]
         assert len(challenged) == 1 and challenged[0].index == 1
 

@@ -76,7 +76,6 @@ class TestLoadPolicy:
         assert by_role["contractor"].allowed_tools == {"docs_search"}
         assert by_role["operator"].granted_scopes == {"mcp.ops.read"}
         assert by_role["operator"].allowed_tools == {"ops_status"}
-        assert table.default_decision == "deny"
 
     def test_unknown_tool_is_an_error(self, registry):
         doc = {"rules": [{"role": "developer", "granted_scopes": [],

@@ -16,17 +16,23 @@ from mcpidg.protocol import (
     encode_response,
     error_response,
     method_table,
+    parse_json,
 )
+
+
+def decode(raw: bytes) -> RpcRequest:
+    """The server's path: one JSON parse, then the shape check."""
+    return decode_request(parse_json(raw))
 
 
 class TestDecodeRequest:
     def test_minimal_valid_request(self):
-        req = decode_request(b'{"jsonrpc":"2.0","id":1,"method":"tools/list"}')
+        req = decode(b'{"jsonrpc":"2.0","id":1,"method":"tools/list"}')
         assert req == RpcRequest(method="tools/list", id=1)
         assert not req.is_notification
 
     def test_notification_has_no_id(self):
-        req = decode_request(
+        req = decode(
             b'{"jsonrpc":"2.0","method":"notifications/initialized"}'
         )
         assert req.id is None
@@ -34,41 +40,41 @@ class TestDecodeRequest:
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(InvalidRequest):
-            decode_request(b'{"jsonrpc":"1.0","id":1,"method":"x"}')
+            decode(b'{"jsonrpc":"1.0","id":1,"method":"x"}')
 
     def test_version_mismatch_salvages_id(self):
         with pytest.raises(InvalidRequest) as excinfo:
-            decode_request(b'{"jsonrpc":"1.0","id":7,"method":"x"}')
+            decode(b'{"jsonrpc":"1.0","id":7,"method":"x"}')
         assert excinfo.value.request_id == 7
 
     def test_malformed_json_is_parse_error(self):
         with pytest.raises(ParseError):
-            decode_request(b'{"jsonrpc":')
+            decode(b'{"jsonrpc":')
 
     def test_non_utf8_is_parse_error(self):
         with pytest.raises(ParseError):
-            decode_request(b"\xff\xfe{}")
+            decode(b"\xff\xfe{}")
 
     def test_non_object_document(self):
         with pytest.raises(InvalidRequest):
-            decode_request(b"[1,2,3]")
+            decode(b"[1,2,3]")
 
     @pytest.mark.parametrize("bad_id", ["true", "1.5", "null", "[1]"])
     def test_bad_id_types(self, bad_id):
         raw = f'{{"jsonrpc":"2.0","id":{bad_id},"method":"m"}}'.encode()
         with pytest.raises(InvalidRequest):
-            decode_request(raw)
+            decode(raw)
 
     def test_empty_method_rejected(self):
         with pytest.raises(InvalidRequest):
-            decode_request(b'{"jsonrpc":"2.0","id":1,"method":""}')
+            decode(b'{"jsonrpc":"2.0","id":1,"method":""}')
 
     def test_array_params_rejected(self):
         with pytest.raises(InvalidRequest):
-            decode_request(b'{"jsonrpc":"2.0","id":1,"method":"m","params":[1]}')
+            decode(b'{"jsonrpc":"2.0","id":1,"method":"m","params":[1]}')
 
     def test_string_id_and_object_params(self):
-        req = decode_request(
+        req = decode(
             b'{"jsonrpc":"2.0","id":"abc","method":"tools/call","params":{"name":"x"}}'
         )
         assert req.id == "abc"
@@ -159,7 +165,7 @@ _responses = st.one_of(
 
 @given(_requests)
 def test_request_round_trip(req):
-    assert decode_request(encode_request(req)) == req
+    assert decode(encode_request(req)) == req
 
 
 @given(_responses)

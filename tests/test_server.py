@@ -73,30 +73,30 @@ class TestMetadataDocument:
 
 class TestExtractBearer:
     def test_header_token(self):
-        assert extract_bearer({"authorization": "Bearer abc"}, b"{}") == "abc"
+        assert extract_bearer({"authorization": "Bearer abc"}, {}) == "abc"
 
     def test_body_token_when_no_header(self):
-        body = json.dumps(rpc("tools/call", 1, {"authorization": "xyz"})).encode()
-        assert extract_bearer({}, body) == "xyz"
+        doc = rpc("tools/call", 1, {"authorization": "xyz"})
+        assert extract_bearer({}, doc) == "xyz"
 
     def test_header_wins_over_body(self):
-        body = json.dumps(rpc("tools/call", 1, {"authorization": "body-tok"})).encode()
-        assert extract_bearer({"authorization": "Bearer head-tok"}, body) == "head-tok"
+        doc = rpc("tools/call", 1, {"authorization": "body-tok"})
+        assert extract_bearer({"authorization": "Bearer head-tok"}, doc) == "head-tok"
 
     def test_basic_scheme_is_malformed(self):
         with pytest.raises(MalformedAuthorizationHeader):
-            extract_bearer({"authorization": "Basic dXNlcg=="}, b"{}")
+            extract_bearer({"authorization": "Basic dXNlcg=="}, {})
 
     def test_empty_bearer_is_malformed(self):
         with pytest.raises(MalformedAuthorizationHeader):
-            extract_bearer({"authorization": "Bearer "}, b"{}")
+            extract_bearer({"authorization": "Bearer "}, {})
 
     def test_nothing_presented(self):
-        assert extract_bearer({}, b"not json") is None
-        assert extract_bearer({}, b"{}") is None
+        assert extract_bearer({}, None) is None  # the body was not JSON
+        assert extract_bearer({}, {}) is None
 
     def test_scheme_is_case_insensitive(self):
-        assert extract_bearer({"authorization": "bearer tok"}, b"{}") == "tok"
+        assert extract_bearer({"authorization": "bearer tok"}, {}) == "tok"
 
 
 class TestChallenge:
@@ -229,6 +229,34 @@ class TestDispatch:
         via_header = mcp_post(stack.mcp_url, call, token, "header").json()
         via_body = mcp_post(stack.mcp_url, call, token, "body").json()
         assert via_header["result"] == via_body["result"]
+
+    def test_body_bearer_in_wrong_shape_is_invalid_request(self, stack):
+        token = mint(stack, "developer-persona")
+        doc = {"jsonrpc": "1.0", "id": 1, "method": "x", "params": {"authorization": token}}
+        reply = mcp_post(stack.mcp_url, doc)
+        assert reply.status == 200  # authenticated through the body bearer
+        assert reply.json()["error"]["code"] == -32600
+
+    def test_body_is_decoded_once(self, stack, monkeypatch):
+        token = mint(stack, "developer-persona")
+        call = rpc("tools/call", 12, {
+            "name": "docs_search", "arguments": {"query": "q"}, "authorization": token,
+        })
+        body = json.dumps(call).encode()
+        real_loads = json.loads
+        body_decodes = []
+
+        def counting_loads(text, *args, **kwargs):
+            # Token segments and key documents are other strings.
+            if text == body.decode():
+                body_decodes.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        result = stack.server.app.handle_mcp_post({}, body)
+        assert result.status == 200
+        assert real_loads(result.body)["result"]["tool"] == "docs_search"
+        assert len(body_decodes) == 1
 
     def test_unknown_tool_denied(self, stack):
         token = mint(stack, "developer-persona")

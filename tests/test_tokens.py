@@ -25,7 +25,6 @@ from mcpidg.tokens import (
     WrongAudience,
     WrongIssuer,
     b64url_encode,
-    get_keys,
     mask_subject,
     parse_compact,
     validate_claims,
@@ -70,7 +69,7 @@ class TestParseCompact:
     def test_minted_token_parses_and_matches_independent_decoder(self, signer):
         token = signer.issue_token_for("developer-persona")
         jwt = parse_compact(token)
-        assert jwt.alg == "RS256"
+        assert jwt.header["alg"] == "RS256"
         assert jwt.kid == signer.active_kid()
         # Oracle: a locally written compact decoder sees the same content.
         header, claims, signature, signing_input = oracles.decode_compact(token)
@@ -178,7 +177,7 @@ def claims_for(**overrides):
 
 class TestValidateClaims:
     def test_required_scope_gate_passes_with_superset(self):
-        claim_set = validate_claims(
+        identity = validate_claims(
             claims_for(),
             TEST_ISSUER,
             TEST_RESOURCE,
@@ -186,9 +185,9 @@ class TestValidateClaims:
             now=NOW,
             skew=0,
         )
-        assert claim_set.scopes == {"openid", "profile", "mcp.docs.read"}
-        assert claim_set.roles == {"developer"}
-        assert claim_set.subject == "developer-persona"
+        assert identity.scopes == {"openid", "profile", "mcp.docs.read"}
+        assert identity.roles == {"developer"}
+        assert identity.subject == "developer-persona"
 
     def test_expired_boundary(self):
         with pytest.raises(Expired):
@@ -202,7 +201,7 @@ class TestValidateClaims:
             )
 
     def test_skew_tolerates_recent_expiry(self):
-        claim_set = validate_claims(
+        identity = validate_claims(
             claims_for(exp=NOW - 1),
             TEST_ISSUER,
             TEST_RESOURCE,
@@ -210,7 +209,7 @@ class TestValidateClaims:
             now=NOW,
             skew=30,
         )
-        assert claim_set.expires_at == NOW - 1
+        assert identity.expires_at == NOW - 1
 
     def test_missing_scope_names_the_difference(self):
         with pytest.raises(InsufficientScope) as excinfo:
@@ -244,14 +243,23 @@ class TestValidateClaims:
             )
 
     def test_string_audience_accepted(self):
-        claim_set = validate_claims(
+        identity = validate_claims(
             claims_for(aud=TEST_RESOURCE),
             TEST_ISSUER,
             TEST_RESOURCE,
             frozenset(),
             now=NOW,
         )
-        assert TEST_RESOURCE in claim_set.audience
+        assert identity.subject == "developer-persona"
+        # A string naming another resource is still checked, not waved through.
+        with pytest.raises(WrongAudience):
+            validate_claims(
+                claims_for(aud="http://other.test/mcp"),
+                TEST_ISSUER,
+                TEST_RESOURCE,
+                frozenset(),
+                now=NOW,
+            )
 
     def test_not_yet_valid_respects_skew(self):
         with pytest.raises(NotYetValid):
@@ -328,15 +336,15 @@ class TestMaskSubject:
         assert set(masked[1:]) <= {"*"}
 
 
-# -- JwksCache / get_keys --------------------------------------------------------
+# -- JwksCache.get --------------------------------------------------------------
 
 
 class TestJwksCache:
     def test_miss_then_hit_without_refetch(self, signer):
         fetcher = CountingFetcher(signer)
         cache = JwksCache(ttl=300)
-        get_keys(TEST_ISSUER, cache, fetcher)
-        get_keys(TEST_ISSUER, cache, fetcher)
+        cache.get(TEST_ISSUER, fetcher)
+        cache.get(TEST_ISSUER, fetcher)
         assert fetcher.calls == 1
         assert cache.snapshot() == {"hits": 1, "misses": 1}
 
@@ -344,9 +352,9 @@ class TestJwksCache:
         clock = [0.0]
         fetcher = CountingFetcher(signer)
         cache = JwksCache(ttl=300, clock=lambda: clock[0])
-        get_keys(TEST_ISSUER, cache, fetcher)
+        cache.get(TEST_ISSUER, fetcher)
         clock[0] = 300.0  # exactly ttl old: stale, never used
-        get_keys(TEST_ISSUER, cache, fetcher)
+        cache.get(TEST_ISSUER, fetcher)
         assert fetcher.calls == 2
         assert cache.snapshot() == {"hits": 0, "misses": 2}
 
@@ -354,7 +362,7 @@ class TestJwksCache:
         fetcher = CountingFetcher(signer)
         cache = JwksCache(ttl=0)
         for _ in range(3):
-            get_keys(TEST_ISSUER, cache, fetcher)
+            cache.get(TEST_ISSUER, fetcher)
         assert fetcher.calls == 3
 
     def test_fetch_failure_with_empty_cache(self):
@@ -363,19 +371,19 @@ class TestJwksCache:
 
         cache = JwksCache(ttl=300)
         with pytest.raises(JwksUnreachable):
-            get_keys(TEST_ISSUER, cache, broken)
+            cache.get(TEST_ISSUER, broken)
 
     def test_stale_entry_not_used_on_fetch_failure(self, signer):
         clock = [0.0]
         cache = JwksCache(ttl=300, clock=lambda: clock[0])
-        get_keys(TEST_ISSUER, cache, CountingFetcher(signer))
+        cache.get(TEST_ISSUER, CountingFetcher(signer))
         clock[0] = 10_000.0
 
         def broken(issuer):
             raise OSError("down")
 
         with pytest.raises(JwksUnreachable):
-            get_keys(TEST_ISSUER, cache, broken)
+            cache.get(TEST_ISSUER, broken)
 
     def test_concurrent_misses_single_flight(self, signer):
         release = threading.Event()
@@ -390,7 +398,7 @@ class TestJwksCache:
         results = []
         threads = [
             threading.Thread(
-                target=lambda: results.append(get_keys(TEST_ISSUER, cache, slow_fetcher))
+                target=lambda: results.append(cache.get(TEST_ISSUER, slow_fetcher))
             )
             for _ in range(8)
         ]
@@ -409,8 +417,8 @@ class TestJwksCache:
     def test_latency_samples_recorded(self, signer):
         cache = JwksCache(ttl=300)
         fetcher = CountingFetcher(signer)
-        get_keys(TEST_ISSUER, cache, fetcher)
-        get_keys(TEST_ISSUER, cache, fetcher)
+        cache.get(TEST_ISSUER, fetcher)
+        cache.get(TEST_ISSUER, fetcher)
         assert len(cache.stats.miss_latencies) == 1
         assert len(cache.stats.hit_latencies) == 1
 
@@ -440,7 +448,7 @@ class TestVerifyBearer:
         core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
         fetcher = CountingFetcher(core)
         cache = JwksCache(ttl=300)
-        get_keys(TEST_ISSUER, cache, fetcher)  # warm with the old key set
+        cache.get(TEST_ISSUER, fetcher)  # warm with the old key set
         core.rotate_keys(retain_old=False)
         token = core.issue_token_for("developer-persona")
         identity = verify_bearer(token, make_config(), cache, fetcher=fetcher)
