@@ -30,6 +30,9 @@ from . import httpclient
 log = logging.getLogger("mcpidg.tokens")
 
 DEFAULT_JWKS_TTL = 300.0
+# Least time between two forced key refreshes for one issuer (Keycloak's
+# min-time-between-jwks-requests has the same default).
+MIN_REFRESH_INTERVAL_S = 10.0
 DEFAULT_CLOCK_SKEW = 30.0
 
 
@@ -76,7 +79,7 @@ class InsufficientScope(TokenError):
 
 
 class JwksUnreachable(TokenError):
-    """Key fetch failed and no fresh cached entry exists."""
+    """Key fetch failed: no fresh cached entry exists, or a forced refresh failed."""
 
 
 class EmptySubject(TokenError):
@@ -124,13 +127,24 @@ class ValidatedIdentity:
 
 
 class JwkSet:
-    """An RSA signing-key set addressed by kid."""
+    """An RSA signing-key set addressed by kid.
+
+    Each key's public-key object is built once, here. A key that cannot
+    be built (not RSA, unusable material) does not spoil the set: a token
+    naming its kid fails with SignatureInvalid, the others still verify.
+    """
 
     def __init__(self, keys: list[dict[str, Any]]):
         kids = [k.get("kid") for k in keys]
         if len(kids) != len(set(kids)):
             raise ValueError("duplicate kid values in key set")
-        self.keys = list(keys)
+        self._public_keys: dict[Any, rsa.RSAPublicKey] = {}
+        self._unusable: dict[Any, str] = {}
+        for jwk in keys:
+            try:
+                self._public_keys[jwk.get("kid")] = _public_key_from_jwk(jwk)
+            except SignatureInvalid as exc:
+                self._unusable[jwk.get("kid")] = str(exc)
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "JwkSet":
@@ -139,14 +153,13 @@ class JwkSet:
             raise ValueError("JWKS document must carry a 'keys' array")
         return cls(keys)
 
-    def find(self, kid: str) -> dict[str, Any] | None:
-        for key in self.keys:
-            if key.get("kid") == kid:
-                return key
-        return None
-
-    def __len__(self) -> int:
-        return len(self.keys)
+    def public_key(self, kid: str) -> rsa.RSAPublicKey:
+        public_key = self._public_keys.get(kid)
+        if public_key is not None:
+            return public_key
+        if kid in self._unusable:
+            raise SignatureInvalid(self._unusable[kid])
+        raise UnknownKeyId(f"no key with kid {kid!r} in the key set")
 
 
 def parse_compact(token: str) -> CompactJwt:
@@ -186,17 +199,14 @@ def _public_key_from_jwk(jwk: dict[str, Any]):
     try:
         n = int.from_bytes(_b64url_decode(jwk["n"]), "big")
         e = int.from_bytes(_b64url_decode(jwk["e"]), "big")
-    except (KeyError, MalformedToken) as exc:
+        return rsa.RSAPublicNumbers(e, n).public_key()
+    except (KeyError, TypeError, ValueError, MalformedToken) as exc:
         raise SignatureInvalid(f"key {jwk.get('kid')!r} has unusable material") from exc
-    return rsa.RSAPublicNumbers(e, n).public_key()
 
 
 def verify_signature(jwt: CompactJwt, keys: JwkSet) -> dict[str, Any]:
     """RSASSA-PKCS1-v1_5/SHA-256 over the signing input; returns raw claims."""
-    jwk = keys.find(jwt.kid)
-    if jwk is None:
-        raise UnknownKeyId(f"no key with kid {jwt.kid!r} in the key set")
-    public_key = _public_key_from_jwk(jwk)
+    public_key = keys.public_key(jwt.kid)
     try:
         public_key.verify(
             jwt.signature, jwt.signing_input, padding.PKCS1v15(), hashes.SHA256()
@@ -323,13 +333,17 @@ class JwksCache:
 
     Entries older than ttl are never served; concurrent misses for one
     issuer coalesce into a single backing fetch while hits proceed without
-    blocking each other.
+    blocking each other. A forced refresh (``get(..., refresh=True)``, for
+    a token whose kid the cached set lacks) is attempted at most once per
+    issuer per MIN_REFRESH_INTERVAL_S, so forged kids cannot drive the
+    identity provider; a failed one keeps the current entry.
     """
 
     def __init__(self, ttl: float = DEFAULT_JWKS_TTL, clock: Callable[[], float] = time.monotonic):
         self.ttl = ttl
         self._clock = clock
         self._entries: dict[str, tuple[JwkSet, float]] = {}
+        self._last_forced: dict[str, float] = {}
         self._lock = threading.Lock()
         self._fetch_locks: dict[str, threading.Lock] = {}
         self.stats = CacheStats()
@@ -357,24 +371,43 @@ class JwksCache:
                 self.stats.misses += 1
                 self.stats.miss_latencies.append(elapsed_us)
 
-    def get(self, issuer: str, fetcher: JwksFetcher) -> JwkSet:
+    def get(self, issuer: str, fetcher: JwksFetcher, refresh: bool = False) -> JwkSet:
+        """The issuer's key set; ``refresh`` asks to refetch a fresh entry.
+
+        Inside MIN_REFRESH_INTERVAL_S of the issuer's last forced refresh,
+        failed or not, the current set is returned without a fetch.
+        """
         started = time.perf_counter()
         with self._lock:
             jwk_set = self._fresh_entry(issuer)
-        if jwk_set is not None:
+        if jwk_set is not None and not refresh:
             self._record(hit=True, started=started)
             return jwk_set
         with self._fetch_lock(issuer):
             with self._lock:
                 jwk_set = self._fresh_entry(issuer)
+                forced = refresh and jwk_set is not None
+                if forced:
+                    now = self._clock()
+                    last = self._last_forced.get(issuer)
+                    if last is None or now - last >= MIN_REFRESH_INTERVAL_S:
+                        self._last_forced[issuer] = now
+                        jwk_set = None
             if jwk_set is not None:
-                # Another caller completed the fetch while we waited.
+                # Another caller completed the fetch while we waited, or a
+                # forced refresh is not yet due.
                 self._record(hit=True, started=started)
                 return jwk_set
             try:
                 jwk_set = fetcher(issuer)
             except Exception as exc:
                 self._record(hit=False, started=started)
+                if forced:
+                    log.warning(
+                        "Forced key refresh for issuer %s failed, keeping the cached keys: %s",
+                        issuer,
+                        exc,
+                    )
                 raise JwksUnreachable(
                     f"could not fetch keys for issuer {issuer!r}: {exc}"
                 ) from exc
@@ -384,10 +417,6 @@ class JwksCache:
                 self._entries[issuer] = (jwk_set, self._clock())
             self._record(hit=False, started=started)
             return jwk_set
-
-    def invalidate(self, issuer: str) -> None:
-        with self._lock:
-            self._entries.pop(issuer, None)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
@@ -418,8 +447,12 @@ def verify_bearer(
 ) -> ValidatedIdentity:
     """Full bearer validation; the package's only caller of validate_claims.
 
-    An UnknownKeyId triggers exactly one forced cache refresh (covers key
-    rotation between fetches) before the failure propagates.
+    A kid the cached key set lacks asks the cache for a forced refresh,
+    which picks up a key rotated in since the last fetch. The cache
+    attempts at most one per issuer per MIN_REFRESH_INTERVAL_S; inside
+    that interval the token fails with UnknownKeyId without a fetch, and
+    if the refresh fails it fails with JwksUnreachable, the cached keys
+    kept for every other token.
     """
     log.info("Verifying token...")
     jwt = parse_compact(token)
@@ -427,8 +460,7 @@ def verify_bearer(
     try:
         claims = verify_signature(jwt, keys)
     except UnknownKeyId:
-        cache.invalidate(config.issuer)
-        keys = cache.get(config.issuer, fetcher)
+        keys = cache.get(config.issuer, fetcher, refresh=True)
         claims = verify_signature(jwt, keys)
     identity = validate_claims(
         claims,

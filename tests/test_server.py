@@ -16,7 +16,7 @@ from mcpidg.server import (
     metadata_document,
     serve,
 )
-from mcpidg.tokens import ValidatedIdentity
+from mcpidg.tokens import ValidatedIdentity, b64url_encode
 from mcpidg.tools import default_policy, default_registry
 
 REFERENCE_METADATA = {
@@ -29,6 +29,12 @@ REFERENCE_METADATA = {
 
 def mint(stack, persona, **kwargs):
     return stack.idp.core.issue_token_for(persona, **kwargs)
+
+
+def with_kid(token: str, kid: str) -> str:
+    """The token under a header naming another key; the signature no longer holds."""
+    header = b64url_encode(json.dumps({"alg": "RS256", "typ": "JWT", "kid": kid}).encode())
+    return header + token[token.index("."):]
 
 
 class TestMetadataDocument:
@@ -301,6 +307,29 @@ class TestAuthBeforeDispatch:
             r.getMessage() for r in caplog.records
         ]
         assert read_records(stack.audit_path)[-1]["subject"] == "developer-persona"
+
+
+class TestForgedKeyIds:
+    def test_forged_kids_cost_at_most_one_key_refresh(self, stack):
+        token = mint(stack, "developer-persona")
+        call = rpc("tools/call", 1, {"name": "docs_search", "arguments": {}})
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        before = stack.idp.counters()["total"]
+        for i in range(20):
+            assert mcp_post(stack.mcp_url, call, with_kid(token, f"forged-{i}")).status == 401
+        # One forced refresh is discovery plus JWKS; the rest are refused
+        # from the cached keys.
+        assert stack.idp.counters()["total"] - before <= 2
+
+    def test_forged_kid_during_idp_outage_keeps_valid_tokens_working(self, stack):
+        token = mint(stack, "developer-persona")
+        call = rpc("tools/call", 2, {"name": "docs_search", "arguments": {"query": "sso"}})
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        stack.idp.stop()
+        assert mcp_post(stack.mcp_url, call, with_kid(token, "forged")).status == 401
+        reply = mcp_post(stack.mcp_url, call, token)
+        assert reply.status == 200
+        assert reply.json()["result"]["tool"] == "docs_search"
 
 
 class TestAudit:

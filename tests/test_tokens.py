@@ -157,6 +157,20 @@ class TestVerifySignature:
         with pytest.raises(ValueError):
             JwkSet([jwk, dict(jwk)])
 
+    def test_unusable_key_does_not_poison_the_set(self, signer):
+        unusable = [
+            {"kid": "ec-key", "kty": "EC", "crv": "P-256", "x": "AQ", "y": "AQ"},
+            {"kid": "no-modulus", "kty": "RSA", "e": "AQAB"},
+            {"kid": "tiny-modulus", "kty": "RSA", "n": "AQ", "e": "AQAB"},
+        ]
+        keys = JwkSet(signer.jwks_document()["keys"] + unusable)
+        token = signer.issue_token_for("developer-persona")
+        assert verify_signature(parse_compact(token), keys)["sub"] == "developer-persona"
+        for jwk in unusable:
+            forged = unsigned_token({"alg": "RS256", "kid": jwk["kid"]}, {}, b"\x00")
+            with pytest.raises(SignatureInvalid):
+                verify_signature(parse_compact(forged), keys)
+
 
 # -- validate_claims -----------------------------------------------------------
 
@@ -414,6 +428,22 @@ class TestJwksCache:
         assert snapshot["hits"] + snapshot["misses"] == 8
         assert snapshot["misses"] == 1
 
+    def test_failed_forced_refresh_keeps_the_fresh_entry(self, signer):
+        cache = JwksCache(ttl=300, clock=lambda: 0.0)
+        warm = cache.get(TEST_ISSUER, CountingFetcher(signer))
+        calls = [0]
+
+        def broken(issuer):
+            calls[0] += 1
+            raise OSError("down")
+
+        with pytest.raises(JwksUnreachable):
+            cache.get(TEST_ISSUER, broken, refresh=True)
+        assert cache.get(TEST_ISSUER, broken) is warm
+        # A failed attempt also starts the interval: no retry inside it.
+        assert cache.get(TEST_ISSUER, broken, refresh=True) is warm
+        assert calls[0] == 1
+
     def test_latency_samples_recorded(self, signer):
         cache = JwksCache(ttl=300)
         fetcher = CountingFetcher(signer)
@@ -464,6 +494,61 @@ class TestVerifyBearer:
         with pytest.raises(UnknownKeyId):
             verify_bearer(token, make_config(), cache, fetcher=fetcher)
         assert fetcher.calls == 2
+
+    def test_unknown_kids_refresh_at_most_once_per_interval(self, signer):
+        clock = [0.0]
+        fetcher = CountingFetcher(signer)
+        cache = JwksCache(ttl=300, clock=lambda: clock[0])
+        cache.get(TEST_ISSUER, fetcher)
+        forged = unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for())
+        for now, calls in ((0.0, 2), (9.9, 2), (10.0, 3)):
+            clock[0] = now
+            with pytest.raises(UnknownKeyId):
+                verify_bearer(forged, make_config(), cache, fetcher=fetcher)
+            assert fetcher.calls == calls, f"at t={now}"
+
+    def test_rotated_key_verifies_once_the_interval_has_passed(self):
+        core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
+        clock = [0.0]
+        fetcher = CountingFetcher(core)
+        cache = JwksCache(ttl=300, clock=lambda: clock[0])
+        cache.get(TEST_ISSUER, fetcher)
+        forged = unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for())
+        with pytest.raises(UnknownKeyId):
+            verify_bearer(forged, make_config(), cache, fetcher=fetcher)
+        core.rotate_keys(retain_old=False)
+        token = core.issue_token_for("developer-persona")
+        clock[0] = 5.0
+        with pytest.raises(UnknownKeyId):
+            verify_bearer(token, make_config(), cache, fetcher=fetcher)
+        clock[0] = 10.0
+        identity = verify_bearer(token, make_config(), cache, fetcher=fetcher)
+        assert identity.subject == "developer-persona"
+        assert fetcher.calls == 3
+
+    def test_concurrent_unknown_kids_share_one_refresh(self, signer):
+        fetcher = CountingFetcher(signer)
+        cache = JwksCache(ttl=300, clock=lambda: 0.0)
+        cache.get(TEST_ISSUER, fetcher)
+        start = threading.Barrier(8)
+        errors = []
+
+        def verify(i):
+            forged = unsigned_token({"alg": "RS256", "kid": f"forged-{i}"}, claims_for())
+            start.wait(timeout=5)
+            try:
+                verify_bearer(forged, make_config(), cache, fetcher=fetcher)
+            except UnknownKeyId as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=verify, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert len(errors) == 8
+        assert fetcher.calls == 2, "8 unknown kids must share one forced refresh"
 
     def test_retained_key_still_verifies(self):
         core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
