@@ -120,8 +120,8 @@ def bench_cache_hit(
 ) -> BenchReport:
     """verify_bearer against a warm key cache (one initial fetch only)."""
     token = idp.issue_token_for(persona)
-    cache = JwksCache(ttl=86400.0)
-    config = VerifierConfig(issuer=idp.issuer, resource=resource)
+    cache = JwksCache(idp.issuer, ttl=86400.0)
+    config = VerifierConfig(resource=resource)
     samples = _timed_loop(
         lambda: verify_bearer(token, config, cache), iterations, warmup
     )
@@ -137,8 +137,8 @@ def bench_cache_miss(
 ) -> BenchReport:
     """verify_bearer with ttl 0: every validation refetches the keys."""
     token = idp.issue_token_for(persona)
-    cache = JwksCache(ttl=0.0)
-    config = VerifierConfig(issuer=idp.issuer, resource=resource)
+    cache = JwksCache(idp.issuer, ttl=0.0)
+    config = VerifierConfig(resource=resource)
     samples = _timed_loop(
         lambda: verify_bearer(token, config, cache), iterations, warmup
     )

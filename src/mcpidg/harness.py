@@ -161,6 +161,17 @@ def _mcp_post(
         raise TransportError(f"POST {mcp_url} failed: {exc}") from exc
 
 
+def _json_object(reply: httpclient.HttpReply, what: str) -> dict[str, Any]:
+    """The reply body as a JSON object; raises AuthFlowError otherwise."""
+    try:
+        doc = reply.json()
+    except ValueError as exc:
+        raise AuthFlowError(f"{what} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise AuthFlowError(f"{what} is not a JSON object")
+    return doc
+
+
 def discover_oidc(issuer: str) -> dict[str, Any]:
     url = issuer.rstrip("/") + "/.well-known/openid-configuration"
     try:
@@ -169,7 +180,11 @@ def discover_oidc(issuer: str) -> dict[str, Any]:
         raise AuthFlowError(f"discovery fetch failed: {exc}") from exc
     if reply.status != 200:
         raise AuthFlowError(f"discovery endpoint returned {reply.status}")
-    return reply.json()
+    discovery = _json_object(reply, "discovery document")
+    for endpoint in ("authorization_endpoint", "token_endpoint"):
+        if not isinstance(discovery.get(endpoint), str):
+            raise AuthFlowError(f"discovery document lacks a string {endpoint}")
+    return discovery
 
 
 def acquire_token(
@@ -238,7 +253,7 @@ def acquire_token(
             f"token endpoint returned {token_reply.status}: "
             f"{token_reply.body.decode(errors='replace')}"
         )
-    response = token_reply.json()
+    response = _json_object(token_reply, "token response")
     if "refresh_token" in response:
         raise AuthFlowError("token response carries a refresh_token; none may be issued")
     if not isinstance(response.get("access_token"), str):
@@ -295,7 +310,6 @@ def run_sequence(
     client_id: str = DEFAULT_CLIENT_ID,
     redirect_uri: str = DEFAULT_REDIRECT_URI,
     tool: str = "docs_search",
-    tool_arguments: dict[str, Any] | None = None,
     scopes: frozenset[str] = DEFAULT_REQUEST_SCOPES,
     token_store: TokenStore | None = None,
     bearer_mode: str = "header",
@@ -346,12 +360,9 @@ def run_sequence(
             raise fail(10, f"tools/list returned {list_reply.status}")
         preliminary.append("tools/list -> 200")
 
-        call_request = protocol.RpcRequest(
-            "tools/call",
-            id=3,
-            params={"name": tool, "arguments": tool_arguments or {}},
+        call_reply = post(
+            protocol.RpcRequest("tools/call", id=3, params={"name": tool, "arguments": {}})
         )
-        call_reply = post(call_request)
         if call_reply.status == 401:
             raise fail(10, "server rejected the bearer token on tools/call")
         if call_reply.status != 200:
@@ -410,7 +421,10 @@ def _cold_start(
     if bare.status != 401:
         raise fail(2, f"expected 401 challenge, got {bare.status}")
     challenge_header = bare.header("www-authenticate") or ""
-    challenge = parse_www_authenticate(challenge_header)
+    try:
+        challenge = parse_www_authenticate(challenge_header)
+    except AuthFlowError as exc:
+        raise fail(2, str(exc))
     metadata_url = challenge.get("resource_metadata", "")
     if not metadata_url:
         raise fail(2, "401 challenge lacks a resource_metadata parameter")
@@ -426,7 +440,10 @@ def _cold_start(
             raise fail(3, f"metadata fetch failed: {exc}")
     if meta_reply.status != 200:
         raise fail(4, f"metadata endpoint returned {meta_reply.status}")
-    metadata = meta_reply.json()
+    try:
+        metadata = _json_object(meta_reply, "resource metadata")
+    except AuthFlowError as exc:
+        raise fail(4, str(exc))
     transcript.add(
         3, "GET resource metadata (challenge URL)", f"GET {metadata_url}",
         f"status {meta_reply.status}", timer.elapsed_us,

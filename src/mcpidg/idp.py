@@ -32,7 +32,7 @@ from .tokens import b64url_encode
 log = logging.getLogger("mcpidg.idp")
 
 DEFAULT_TOKEN_LIFETIME = 300.0
-DEFAULT_CODE_LIFETIME = 60.0
+CODE_LIFETIME_S = 60.0
 
 
 class IdpError(Exception):
@@ -99,7 +99,6 @@ class AuthorizationCodeRecord:
 class SigningKey:
     kid: str
     private_key: rsa.RSAPrivateKey
-    active: bool
 
 
 def default_users() -> tuple[UserRecord, ...]:
@@ -135,7 +134,8 @@ def default_clients() -> tuple[ClientRegistration, ...]:
 
 
 def s256_challenge(verifier: str) -> str:
-    return b64url_encode(hashlib.sha256(verifier.encode("ascii")).digest())
+    # UTF-8, so a non-ASCII verifier fails to match instead of raising.
+    return b64url_encode(hashlib.sha256(verifier.encode("utf-8")).digest())
 
 
 def load_fixtures(
@@ -197,50 +197,37 @@ class MockIdp:
         users: tuple[UserRecord, ...] | None = None,
         clients: tuple[ClientRegistration, ...] | None = None,
         token_lifetime: float = DEFAULT_TOKEN_LIFETIME,
-        code_lifetime: float = DEFAULT_CODE_LIFETIME,
         clock: Callable[[], float] = time.time,
     ):
         self.issuer = issuer.rstrip("/")
         self.audience = audience
         self.token_lifetime = token_lifetime
-        self.code_lifetime = code_lifetime
         self._clock = clock
         self.users = {u.username: u for u in (users or default_users())}
         self.clients = {c.client_id: c for c in (clients or default_clients())}
         self._codes: dict[str, AuthorizationCodeRecord] = {}
         self._code_lock = threading.Lock()
-        self._keys: list[SigningKey] = []
+        self._keys: list[SigningKey] = []  # the last one is the active key
         self._key_lock = threading.Lock()
-        self._new_active_key()
+        self.rotate_keys(retain_old=False)
 
     # -- keys ----------------------------------------------------------------
 
-    def _new_active_key(self) -> str:
-        kid = f"key-{next(_KID_SEQUENCE)}"
-        key = SigningKey(
-            kid=kid,
-            private_key=rsa.generate_private_key(public_exponent=65537, key_size=2048),
-            active=True,
-        )
-        with self._key_lock:
-            for existing in self._keys:
-                existing.active = False
-            self._keys.append(key)
-        return kid
-
     def rotate_keys(self, retain_old: bool) -> str:
         """Swap in a fresh signing key; drop retired keys unless retained."""
+        key = SigningKey(
+            kid=f"key-{next(_KID_SEQUENCE)}",
+            private_key=rsa.generate_private_key(public_exponent=65537, key_size=2048),
+        )
         with self._key_lock:
             if not retain_old:
                 self._keys.clear()
-        return self._new_active_key()
+            self._keys.append(key)
+        return key.kid
 
     def active_kid(self) -> str:
         with self._key_lock:
-            for key in self._keys:
-                if key.active:
-                    return key.kid
-        raise RuntimeError("no active signing key")
+            return self._keys[-1].kid
 
     def jwks_document(self) -> dict[str, Any]:
         with self._key_lock:
@@ -248,22 +235,17 @@ class MockIdp:
 
     # -- token minting -------------------------------------------------------
 
-    def sign_claims(self, claims: dict[str, Any], kid: str | None = None) -> str:
-        """RS256-sign an arbitrary claims map (tests craft corpora with it)."""
+    def sign_claims(self, claims: dict[str, Any]) -> str:
+        """RS256-sign a claims map with the active key (tests craft corpora with it)."""
         with self._key_lock:
-            signer = next(
-                (k for k in self._keys if (k.kid == kid if kid else k.active)), None
-            )
-            if signer is None:
-                raise ValueError(f"no signing key {kid!r}")
-            private_key = signer.private_key
-            header = {"alg": "RS256", "kid": kid or signer.kid, "typ": "JWT"}
+            signer = self._keys[-1]
+        header = {"alg": "RS256", "kid": signer.kid, "typ": "JWT"}
         signing_input = (
             b64url_encode(json.dumps(header, separators=(",", ":")).encode())
             + "."
             + b64url_encode(json.dumps(claims, separators=(",", ":")).encode())
         )
-        signature = private_key.sign(
+        signature = signer.private_key.sign(
             signing_input.encode("ascii"), padding.PKCS1v15(), hashes.SHA256()
         )
         return signing_input + "." + b64url_encode(signature)
@@ -352,7 +334,7 @@ class MockIdp:
             code_challenge=challenge,
             username=username,
             scopes=granted,
-            expires_at=now + self.code_lifetime,
+            expires_at=now + CODE_LIFETIME_S,
         )
         with self._code_lock:
             # Codes are stored oldest first, so the expired ones lead.
@@ -411,7 +393,6 @@ class IdpConfig:
     issuer_url: str | None = None  # derived from bind + issuer_path when unset
     audience: str = "http://localhost:8000/mcp"
     token_lifetime: float = DEFAULT_TOKEN_LIFETIME
-    code_lifetime: float = DEFAULT_CODE_LIFETIME
     users: tuple[UserRecord, ...] = field(default_factory=default_users)
     clients: tuple[ClientRegistration, ...] = field(default_factory=default_clients)
 
@@ -470,7 +451,12 @@ class _IdpHandler(httpserve.Handler):
         body = self.read_body()
         if body is None:
             return
-        params = {k: v[0] for k, v in parse_qs(body.decode("utf-8")).items()}
+        try:
+            form = body.decode("utf-8")
+        except UnicodeDecodeError:
+            self._reply_error(IdpError("token request body is not UTF-8"))
+            return
+        params = {k: v[0] for k, v in parse_qs(form).items()}
         try:
             response = srv.core.handle_token(params)
         except IdpError as exc:
@@ -519,7 +505,6 @@ def serve_idp(config: IdpConfig) -> IdpHandle:
         users=config.users,
         clients=config.clients,
         token_lifetime=config.token_lifetime,
-        code_lifetime=config.code_lifetime,
     )
     handle.prefix = urlsplit(issuer).path.rstrip("/")
     handle.start("mcpidg-idp")

@@ -25,7 +25,8 @@ INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
 FORBIDDEN = -32001
 
-_METHODS = frozenset(
+# The method names this server dispatches.
+METHODS = frozenset(
     {"initialize", "notifications/initialized", "tools/list", "tools/call"}
 )
 
@@ -85,11 +86,6 @@ class RpcResponse:
     def __post_init__(self) -> None:
         if (self.result is None) == (self.error is None):
             raise ValueError("exactly one of result or error must be set")
-
-
-def method_table() -> frozenset[str]:
-    """The method names this server dispatches."""
-    return _METHODS
 
 
 def _valid_id(value: Any) -> bool:

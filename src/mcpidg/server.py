@@ -21,14 +21,7 @@ from urllib.parse import urlsplit
 from . import __version__, httpserve, protocol
 from .audit import AuditLog, AuditRecord, AuditSinkFailure, utc_timestamp
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
-from .tokens import (
-    JwksCache,
-    JwksFetcher,
-    TokenError,
-    VerifierConfig,
-    fetch_jwks_via_discovery,
-    verify_bearer,
-)
+from .tokens import JwksCache, TokenError, VerifierConfig, verify_bearer
 
 log = logging.getLogger("mcpidg.server")
 
@@ -53,7 +46,6 @@ class ProtectedResourceMetadata:
     resource: str
     scopes_supported: tuple[str, ...]
     authorization_servers: tuple[str, ...]
-    bearer_methods_supported: tuple[str, ...] = BEARER_METHODS
 
     def __post_init__(self) -> None:
         if not self.authorization_servers:
@@ -64,7 +56,7 @@ class ProtectedResourceMetadata:
             "resource": self.resource,
             "scopes_supported": list(self.scopes_supported),
             "authorization_servers": list(self.authorization_servers),
-            "bearer_methods_supported": list(self.bearer_methods_supported),
+            "bearer_methods_supported": list(BEARER_METHODS),
         }
 
     def to_json_bytes(self) -> bytes:
@@ -149,23 +141,15 @@ class HttpResult:
 class McpApp:
     """Transport-independent request pipeline behind the HTTP handler."""
 
-    def __init__(
-        self,
-        config: ServerConfig,
-        policy: PolicyTable,
-        registry: ToolRegistry,
-        fetcher: JwksFetcher = fetch_jwks_via_discovery,
-    ):
+    def __init__(self, config: ServerConfig, policy: PolicyTable, registry: ToolRegistry):
         if config.resource_url is None:
             raise ValueError("resource_url must be resolved before serving")
         self.config = config
         self.policy = policy
         self.registry = registry
-        self.cache = JwksCache(ttl=config.jwks_ttl)
+        self.cache = JwksCache(config.issuer_url, ttl=config.jwks_ttl)
         self.audit = AuditLog(config.audit_sink)
-        self._fetcher = fetcher
         self.verifier_config = VerifierConfig(
-            issuer=config.issuer_url,
             resource=config.resource_url,
             required_scopes=config.required_scopes,
             skew=config.clock_skew,
@@ -274,9 +258,7 @@ class McpApp:
 
         validation_started = time.perf_counter()
         try:
-            identity = verify_bearer(
-                token, self.verifier_config, self.cache, fetcher=self._fetcher
-            )
+            identity = verify_bearer(token, self.verifier_config, self.cache)
         except TokenError:
             validation_us = int((time.perf_counter() - validation_started) * 1e6)
             audit_unauthenticated("invalid_token", validation_us)
@@ -314,7 +296,7 @@ class McpApp:
             return self._rpc_result(protocol.RpcResponse(id=request.id, result=result))
         if request.method == "tools/call":
             return self._handle_tool_call(request, identity, validation_us, started)
-        if request.method in protocol.method_table():
+        if request.method in protocol.METHODS:
             # Only notification methods remain; carrying an id is a shape error.
             return self._rpc_error(
                 request.id, protocol.INVALID_REQUEST,
@@ -438,12 +420,7 @@ class ServerHandle(httpserve.HttpServer):
         return self.app.metadata_url
 
 
-def serve(
-    config: ServerConfig,
-    policy: PolicyTable,
-    registry: ToolRegistry,
-    fetcher: JwksFetcher = fetch_jwks_via_discovery,
-) -> ServerHandle:
+def serve(config: ServerConfig, policy: PolicyTable, registry: ToolRegistry) -> ServerHandle:
     """Bind, resolve the externally visible resource URL, and start serving."""
     handle = ServerHandle(config.bind_address, _Handler)
     resource_url = config.resource_url or (
@@ -454,6 +431,6 @@ def serve(
         bind_address=f"{config.host}:{handle.port}",
         resource_url=resource_url,
     )
-    handle.app = McpApp(resolved, policy, registry, fetcher=fetcher)
+    handle.app = McpApp(resolved, policy, registry)
     handle.start("mcpidg-server")
     return handle

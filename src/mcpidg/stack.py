@@ -44,21 +44,13 @@ def start_stack(
     audit_path: str,
     policy: PolicyTable | None = None,
     registry: ToolRegistry | None = None,
-    required_scopes: frozenset[str] = frozenset({"openid", "profile"}),
-    token_lifetime: float = 300.0,
-    code_lifetime: float = 60.0,
-    jwks_ttl: float = 300.0,
-    clock_skew: float = 30.0,
     users: tuple[UserRecord, ...] | None = None,
     clients: tuple[ClientRegistration, ...] | None = None,
 ) -> LocalStack:
     registry = registry or default_registry()
     policy = policy or default_policy(registry)
     idp_config = IdpConfig(
-        bind_address="127.0.0.1:0",
-        audience="(resolved after server start)",
-        token_lifetime=token_lifetime,
-        code_lifetime=code_lifetime,
+        bind_address="127.0.0.1:0", audience="(resolved after server start)"
     )
     if users is not None:
         idp_config.users = users
@@ -70,9 +62,6 @@ def start_stack(
             ServerConfig(
                 bind_address="127.0.0.1:0",
                 issuer_url=idp.issuer,
-                required_scopes=required_scopes,
-                jwks_ttl=jwks_ttl,
-                clock_skew=clock_skew,
                 audit_sink=audit_path,
             ),
             policy,

@@ -17,8 +17,7 @@ import json
 import logging
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from cryptography.exceptions import InvalidSignature
@@ -317,110 +316,101 @@ def fetch_jwks_via_discovery(issuer: str, timeout: float = 5.0) -> JwkSet:
     return JwkSet.from_document(keys_reply.json())
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    hit_latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-    miss_latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-
-    def snapshot(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
-
-
 class JwksCache:
-    """Per-issuer key cache with ttl, hit/miss accounting, and single-flight.
+    """One issuer's key set, with ttl, hit/miss counts and single-flight.
 
-    Entries older than ttl are never served; concurrent misses for one
-    issuer coalesce into a single backing fetch while hits proceed without
-    blocking each other. A forced refresh (``get(..., refresh=True)``, for
-    a token whose kid the cached set lacks) is attempted at most once per
-    issuer per MIN_REFRESH_INTERVAL_S, so forged kids cannot drive the
-    identity provider; a failed one keeps the current entry.
+    The set is never served once it is ttl old. Concurrent misses coalesce
+    into one fetch while hits proceed without blocking each other, and a
+    failed fetch answers every caller that waited on it; a caller that
+    arrives afterwards fetches again. A forced refresh (``get(refresh=True)``,
+    for a token whose kid the cached set lacks) is attempted at most once
+    per MIN_REFRESH_INTERVAL_S, so forged kids cannot drive the identity
+    provider; a failed one keeps the current set.
     """
 
-    def __init__(self, ttl: float = DEFAULT_JWKS_TTL, clock: Callable[[], float] = time.monotonic):
+    def __init__(
+        self,
+        issuer: str,
+        ttl: float = DEFAULT_JWKS_TTL,
+        fetcher: JwksFetcher = fetch_jwks_via_discovery,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        self.issuer = issuer
         self.ttl = ttl
+        self._fetcher = fetcher
         self._clock = clock
-        self._entries: dict[str, tuple[JwkSet, float]] = {}
-        self._last_forced: dict[str, float] = {}
+        self._entry: tuple[JwkSet, float] | None = None
+        self._last_forced: float | None = None
+        # The last failed fetch's exception; each failed fetch raises a new
+        # one, so a waiter can tell whether a fetch failed while it waited.
+        self._failure: Exception | None = None
         self._lock = threading.Lock()
-        self._fetch_locks: dict[str, threading.Lock] = {}
-        self.stats = CacheStats()
+        self._fetch_lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
 
-    def _fresh_entry(self, issuer: str) -> JwkSet | None:
-        entry = self._entries.get(issuer)
-        if entry is None:
+    def _fresh_entry(self) -> JwkSet | None:
+        if self._entry is None:
             return None
-        jwk_set, fetched_at = entry
+        jwk_set, fetched_at = self._entry
         if self._clock() - fetched_at >= self.ttl:
             return None
         return jwk_set
 
-    def _fetch_lock(self, issuer: str) -> threading.Lock:
-        with self._lock:
-            return self._fetch_locks.setdefault(issuer, threading.Lock())
+    def _unreachable(self, exc: Exception) -> JwksUnreachable:
+        return JwksUnreachable(f"could not fetch keys for issuer {self.issuer!r}: {exc}")
 
-    def _record(self, hit: bool, started: float) -> None:
-        elapsed_us = (time.perf_counter() - started) * 1e6
-        with self._lock:
-            if hit:
-                self.stats.hits += 1
-                self.stats.hit_latencies.append(elapsed_us)
-            else:
-                self.stats.misses += 1
-                self.stats.miss_latencies.append(elapsed_us)
+    def get(self, refresh: bool = False) -> JwkSet:
+        """The issuer's key set; ``refresh`` asks to refetch a fresh set.
 
-    def get(self, issuer: str, fetcher: JwksFetcher, refresh: bool = False) -> JwkSet:
-        """The issuer's key set; ``refresh`` asks to refetch a fresh entry.
-
-        Inside MIN_REFRESH_INTERVAL_S of the issuer's last forced refresh,
-        failed or not, the current set is returned without a fetch.
+        Inside MIN_REFRESH_INTERVAL_S of the last forced refresh, failed
+        or not, the current set is returned without a fetch.
         """
-        started = time.perf_counter()
         with self._lock:
-            jwk_set = self._fresh_entry(issuer)
-        if jwk_set is not None and not refresh:
-            self._record(hit=True, started=started)
-            return jwk_set
-        with self._fetch_lock(issuer):
+            jwk_set = self._fresh_entry()
+            if jwk_set is not None and not refresh:
+                self.hits += 1
+                return jwk_set
+            failure_seen = self._failure
+        with self._fetch_lock:
             with self._lock:
-                jwk_set = self._fresh_entry(issuer)
+                jwk_set = self._fresh_entry()
                 forced = refresh and jwk_set is not None
                 if forced:
-                    now = self._clock()
-                    last = self._last_forced.get(issuer)
+                    now, last = self._clock(), self._last_forced
                     if last is None or now - last >= MIN_REFRESH_INTERVAL_S:
-                        self._last_forced[issuer] = now
+                        self._last_forced = now
                         jwk_set = None
-            if jwk_set is not None:
-                # Another caller completed the fetch while we waited, or a
-                # forced refresh is not yet due.
-                self._record(hit=True, started=started)
-                return jwk_set
+                if jwk_set is not None:
+                    # Another caller completed the fetch while we waited, or a
+                    # forced refresh is not yet due.
+                    self.hits += 1
+                    return jwk_set
+                if not forced and self._failure is not failure_seen:
+                    # The fetch this caller waited on failed; share its answer.
+                    self.misses += 1
+                    raise self._unreachable(self._failure) from self._failure
             try:
-                jwk_set = fetcher(issuer)
+                jwk_set = self._fetcher(self.issuer)
             except Exception as exc:
-                self._record(hit=False, started=started)
+                with self._lock:
+                    self.misses += 1
+                    self._failure = exc
                 if forced:
                     log.warning(
                         "Forced key refresh for issuer %s failed, keeping the cached keys: %s",
-                        issuer,
+                        self.issuer,
                         exc,
                     )
-                raise JwksUnreachable(
-                    f"could not fetch keys for issuer {issuer!r}: {exc}"
-                ) from exc
-            if not isinstance(jwk_set, JwkSet):
-                jwk_set = JwkSet.from_document(jwk_set)
+                raise self._unreachable(exc) from exc
             with self._lock:
-                self._entries[issuer] = (jwk_set, self._clock())
-            self._record(hit=False, started=started)
+                self.misses += 1
+                self._entry = (jwk_set, self._clock())
             return jwk_set
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
-            return self.stats.snapshot()
+            return {"hits": self.hits, "misses": self.misses}
 
 
 def mask_subject(subject: str) -> str:
@@ -432,7 +422,6 @@ def mask_subject(subject: str) -> str:
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    issuer: str
     resource: str
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
     skew: float = DEFAULT_CLOCK_SKEW
@@ -443,28 +432,28 @@ def verify_bearer(
     config: VerifierConfig,
     cache: JwksCache,
     now: float | None = None,
-    fetcher: JwksFetcher = fetch_jwks_via_discovery,
 ) -> ValidatedIdentity:
     """Full bearer validation; the package's only caller of validate_claims.
 
-    A kid the cached key set lacks asks the cache for a forced refresh,
-    which picks up a key rotated in since the last fetch. The cache
-    attempts at most one per issuer per MIN_REFRESH_INTERVAL_S; inside
+    The token must name the cache's issuer, whose keys verify its
+    signature. A kid the cached key set lacks asks the cache for a forced
+    refresh, which picks up a key rotated in since the last fetch. The
+    cache attempts at most one per MIN_REFRESH_INTERVAL_S; inside
     that interval the token fails with UnknownKeyId without a fetch, and
     if the refresh fails it fails with JwksUnreachable, the cached keys
     kept for every other token.
     """
     log.info("Verifying token...")
     jwt = parse_compact(token)
-    keys = cache.get(config.issuer, fetcher)
+    keys = cache.get()
     try:
         claims = verify_signature(jwt, keys)
     except UnknownKeyId:
-        keys = cache.get(config.issuer, fetcher, refresh=True)
+        keys = cache.get(refresh=True)
         claims = verify_signature(jwt, keys)
     identity = validate_claims(
         claims,
-        expected_issuer=config.issuer,
+        expected_issuer=cache.issuer,
         expected_resource=config.resource,
         required_scopes=config.required_scopes,
         now=time.time() if now is None else now,

@@ -217,7 +217,7 @@ def test_criterion_3_mutated_token_corpus(counted_stack):
 
     # Route A: direct verification pins the designated error class.
     config = stack.server.app.verifier_config
-    cache = JwksCache(ttl=300.0)
+    cache = JwksCache(stack.issuer, ttl=300.0)
     wrong_class = 0
     for token, expected_error in corpus:
         try:

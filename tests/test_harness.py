@@ -1,13 +1,15 @@
 import json
+import logging
 import os
 import re
 import stat
 import sys
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
-from mcpidg import cli, httpclient
+from mcpidg import cli, httpclient, httpserve
 from mcpidg.harness import (
     AuthFlowError,
     FlowTranscript,
@@ -222,6 +224,84 @@ class TestTransportFailureAfterInitialize:
             "conformance", "--self-contained",
             "--persona", "developer", "--tool", "docs_search",
         ])
+        assert exit_code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class _CannedHandler(httpserve.Handler):
+    """Answers each path from the server's ``replies``: (status, body, headers)."""
+
+    log = logging.getLogger("tests.stub")
+
+    def do_GET(self) -> None:
+        canned = self.server.replies.get(urlsplit(self.path).path, (404, b"", {}))
+        status, body, headers = canned
+        self.reply(status, body, headers)
+
+    def do_POST(self) -> None:
+        self.read_body()
+        self.do_GET()
+
+
+@pytest.fixture
+def stub():
+    """A server whose replies each test sets; ``stub.base`` is its origin."""
+    server = httpserve.HttpServer("127.0.0.1:0", _CannedHandler)
+    server.base = f"http://127.0.0.1:{server.port}"
+    server.replies = {}
+    server.start("stub")
+    yield server
+    server.stop()
+
+
+def _challenging_resource(stub, metadata: bytes) -> str:
+    """Make the stub a resource server that challenges and serves ``metadata``."""
+    challenge = f'Bearer resource_metadata="{stub.base}/.well-known/oauth-protected-resource"'
+    stub.replies["/mcp"] = (401, b"", {"WWW-Authenticate": challenge})
+    for path in ("/.well-known/oauth-protected-resource",
+                 "/.well-known/oauth-protected-resource/mcp"):
+        stub.replies[path] = (200, metadata, {"Content-Type": "application/json"})
+    return f"{stub.base}/mcp"
+
+
+class TestMalformedReplies:
+    """A reply that is not the JSON the flow expects is a step failure, not a crash."""
+
+    def test_challenge_without_bearer_scheme_fails_at_step_2(self, stub):
+        mcp_url = _challenging_resource(stub, b"{}")
+        stub.replies["/mcp"] = (401, b"", {})
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona")
+        assert excinfo.value.index == 2
+
+    @pytest.mark.parametrize("body", [b"<html>sign in</html>", b"\xff", b"[1, 2]"])
+    def test_metadata_not_a_json_object_fails_at_step_4(self, stub, body):
+        mcp_url = _challenging_resource(stub, body)
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona")
+        assert excinfo.value.index == 4
+
+    @pytest.mark.parametrize("body", [b"<html>sign in</html>", b"[]", b"{}"])
+    def test_unusable_discovery_document_fails_at_step_7(self, stub, body):
+        metadata = {"resource": "http://rs/mcp", "authorization_servers": [f"{stub.base}/realms/x"]}
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        stub.replies["/realms/x/.well-known/openid-configuration"] = (200, body, {})
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona")
+        assert excinfo.value.index == 7
+
+    def test_token_response_not_json_is_auth_flow_error(self, stack, stub):
+        discovery = discover_oidc(stack.issuer)
+        discovery["token_endpoint"] = f"{stub.base}/token"
+        stub.replies["/token"] = (200, b"<html>sign in</html>", {})
+        with pytest.raises(AuthFlowError):
+            acquire_token(
+                discovery, "developer-persona", generate_pkce(), frozenset({"openid"})
+            )
+
+    def test_conformance_exits_1_without_traceback(self, stub, capsys):
+        mcp_url = _challenging_resource(stub, b"<html>sign in</html>")
+        exit_code = cli.main(["conformance", "--mcp-url", mcp_url, "--persona", "developer"])
         assert exit_code == 1
         assert "Traceback" not in capsys.readouterr().err
 

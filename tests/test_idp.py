@@ -350,6 +350,28 @@ class TestHttpSurface:
         assert token_reply.status == 400
         assert token_reply.json()["error"] == "invalid_grant"
 
+    def test_token_body_not_utf8_is_invalid_request(self, stack):
+        reply = httpclient.post(
+            f"{stack.issuer}/token",
+            b"grant_type=authorization_code&code=\xff\xfe",
+            {"Content-Type": "application/x-www-form-urlencoded"},
+        )
+        assert reply.status == 400
+        assert reply.json()["error"] == "invalid_request"
+
+    def test_non_ascii_verifier_over_http_is_invalid_grant(self, stack):
+        pkce = generate_pkce()
+        query = urlencode(authorize_params(pkce))
+        reply = httpclient.get(f"{stack.issuer}/authorize?{query}")
+        code = code_from(reply.header("location"))
+        token_reply = httpclient.post(
+            f"{stack.issuer}/token",
+            urlencode(token_params(code, pkce, code_verifier="\u00e9" * 43)).encode(),
+            {"Content-Type": "application/x-www-form-urlencoded"},
+        )
+        assert token_reply.status == 400
+        assert token_reply.json()["error"] == "invalid_grant"
+
     def test_default_config_derives_reference_issuer(self):
         from mcpidg.idp import IdpConfig, serve_idp
 

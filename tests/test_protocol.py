@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from mcpidg import protocol
 from mcpidg.protocol import (
+    METHODS,
     InvalidRequest,
     ParseError,
     RpcError,
@@ -15,7 +16,6 @@ from mcpidg.protocol import (
     encode_request,
     encode_response,
     error_response,
-    method_table,
     parse_json,
 )
 
@@ -104,16 +104,16 @@ class TestEncodeResponse:
 
 class TestMethodTable:
     def test_contains_tools_call(self):
-        assert "tools/call" in method_table()
+        assert "tools/call" in METHODS
 
     def test_excludes_out_of_scope_methods(self):
-        assert "resources/read" not in method_table()
+        assert "resources/read" not in METHODS
 
     def test_size_is_four(self):
-        assert len(method_table()) == 4
+        assert len(METHODS) == 4
 
     def test_exact_contents(self):
-        assert method_table() == {
+        assert METHODS == {
             "initialize",
             "notifications/initialized",
             "tools/list",

@@ -37,7 +37,6 @@ NOW = 1_700_000_000
 
 def make_config(**overrides) -> VerifierConfig:
     base = dict(
-        issuer=TEST_ISSUER,
         resource=TEST_RESOURCE,
         required_scopes=frozenset({"openid", "profile"}),
         skew=30.0,
@@ -47,12 +46,18 @@ def make_config(**overrides) -> VerifierConfig:
 
 
 class CountingFetcher:
+    """Counts fetches; while ``down`` is set, each one fails as an outage would."""
+
     def __init__(self, core: MockIdp):
         self.core = core
         self.calls = 0
+        self.down = False
 
     def __call__(self, issuer: str) -> JwkSet:
+        assert issuer == TEST_ISSUER
         self.calls += 1
+        if self.down:
+            raise OSError("down")
         return JwkSet.from_document(self.core.jwks_document())
 
 
@@ -356,48 +361,46 @@ class TestMaskSubject:
 class TestJwksCache:
     def test_miss_then_hit_without_refetch(self, signer):
         fetcher = CountingFetcher(signer)
-        cache = JwksCache(ttl=300)
-        cache.get(TEST_ISSUER, fetcher)
-        cache.get(TEST_ISSUER, fetcher)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher)
+        cache.get()
+        cache.get()
         assert fetcher.calls == 1
         assert cache.snapshot() == {"hits": 1, "misses": 1}
 
     def test_expired_entry_forces_refetch(self, signer):
         clock = [0.0]
         fetcher = CountingFetcher(signer)
-        cache = JwksCache(ttl=300, clock=lambda: clock[0])
-        cache.get(TEST_ISSUER, fetcher)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: clock[0])
+        cache.get()
         clock[0] = 300.0  # exactly ttl old: stale, never used
-        cache.get(TEST_ISSUER, fetcher)
+        cache.get()
         assert fetcher.calls == 2
         assert cache.snapshot() == {"hits": 0, "misses": 2}
 
     def test_zero_ttl_always_misses(self, signer):
         fetcher = CountingFetcher(signer)
-        cache = JwksCache(ttl=0)
+        cache = JwksCache(TEST_ISSUER, ttl=0, fetcher=fetcher)
         for _ in range(3):
-            cache.get(TEST_ISSUER, fetcher)
+            cache.get()
         assert fetcher.calls == 3
 
     def test_fetch_failure_with_empty_cache(self):
         def broken(issuer):
             raise OSError("boom 500")
 
-        cache = JwksCache(ttl=300)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=broken)
         with pytest.raises(JwksUnreachable):
-            cache.get(TEST_ISSUER, broken)
+            cache.get()
 
     def test_stale_entry_not_used_on_fetch_failure(self, signer):
         clock = [0.0]
-        cache = JwksCache(ttl=300, clock=lambda: clock[0])
-        cache.get(TEST_ISSUER, CountingFetcher(signer))
+        fetcher = CountingFetcher(signer)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: clock[0])
+        cache.get()
         clock[0] = 10_000.0
-
-        def broken(issuer):
-            raise OSError("down")
-
+        fetcher.down = True
         with pytest.raises(JwksUnreachable):
-            cache.get(TEST_ISSUER, broken)
+            cache.get()
 
     def test_concurrent_misses_single_flight(self, signer):
         release = threading.Event()
@@ -408,13 +411,10 @@ class TestJwksCache:
             release.wait(timeout=5)
             return JwkSet.from_document(signer.jwks_document())
 
-        cache = JwksCache(ttl=300)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=slow_fetcher)
         results = []
         threads = [
-            threading.Thread(
-                target=lambda: results.append(cache.get(TEST_ISSUER, slow_fetcher))
-            )
-            for _ in range(8)
+            threading.Thread(target=lambda: results.append(cache.get())) for _ in range(8)
         ]
         for t in threads:
             t.start()
@@ -428,29 +428,49 @@ class TestJwksCache:
         assert snapshot["hits"] + snapshot["misses"] == 8
         assert snapshot["misses"] == 1
 
-    def test_failed_forced_refresh_keeps_the_fresh_entry(self, signer):
-        cache = JwksCache(ttl=300, clock=lambda: 0.0)
-        warm = cache.get(TEST_ISSUER, CountingFetcher(signer))
+    def test_failed_fetch_answers_every_caller_that_waited(self):
+        release = threading.Event()
         calls = [0]
 
-        def broken(issuer):
+        def slow_broken(issuer):
             calls[0] += 1
+            release.wait(timeout=5)
             raise OSError("down")
 
-        with pytest.raises(JwksUnreachable):
-            cache.get(TEST_ISSUER, broken, refresh=True)
-        assert cache.get(TEST_ISSUER, broken) is warm
-        # A failed attempt also starts the interval: no retry inside it.
-        assert cache.get(TEST_ISSUER, broken, refresh=True) is warm
-        assert calls[0] == 1
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=slow_broken)
+        errors = []
 
-    def test_latency_samples_recorded(self, signer):
-        cache = JwksCache(ttl=300)
+        def get():
+            try:
+                cache.get()
+            except JwksUnreachable as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=get) for _ in range(8)]
+        for t in threads:
+            t.start()
+        time.sleep(0.1)
+        release.set()
+        for t in threads:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert calls[0] == 1, "callers waiting on a failed fetch must share its failure"
+        assert len(errors) == 8
+        with pytest.raises(JwksUnreachable):
+            cache.get()
+        assert calls[0] == 2, "a caller arriving after the failure fetches again"
+
+    def test_failed_forced_refresh_keeps_the_fresh_entry(self, signer):
         fetcher = CountingFetcher(signer)
-        cache.get(TEST_ISSUER, fetcher)
-        cache.get(TEST_ISSUER, fetcher)
-        assert len(cache.stats.miss_latencies) == 1
-        assert len(cache.stats.hit_latencies) == 1
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: 0.0)
+        warm = cache.get()
+        fetcher.down = True
+        with pytest.raises(JwksUnreachable):
+            cache.get(refresh=True)
+        assert cache.get() is warm
+        # A failed attempt also starts the interval: no retry inside it.
+        assert cache.get(refresh=True) is warm
+        assert fetcher.calls == 2  # the warming fetch and one failed refresh
 
 
 # -- verify_bearer ---------------------------------------------------------------
@@ -459,11 +479,9 @@ class TestJwksCache:
 class TestVerifyBearer:
     def test_developer_token_yields_identity(self, signer, caplog):
         token = signer.issue_token_for("developer-persona")
-        cache = JwksCache()
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
         with caplog.at_level(logging.INFO, logger="mcpidg.tokens"):
-            identity = verify_bearer(
-                token, make_config(), cache, fetcher=CountingFetcher(signer)
-            )
+            identity = verify_bearer(token, make_config(), cache)
         assert "developer" in identity.roles
         assert identity.subject == "developer-persona"
         messages = [r.getMessage() for r in caplog.records]
@@ -471,17 +489,18 @@ class TestVerifyBearer:
         assert "Authenticated user: d****************" in messages
 
     def test_empty_token_malformed(self, signer):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
         with pytest.raises(MalformedToken):
-            verify_bearer("", make_config(), JwksCache(), fetcher=CountingFetcher(signer))
+            verify_bearer("", make_config(), cache)
 
     def test_key_rotation_triggers_one_forced_refresh(self):
         core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
         fetcher = CountingFetcher(core)
-        cache = JwksCache(ttl=300)
-        cache.get(TEST_ISSUER, fetcher)  # warm with the old key set
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher)
+        cache.get()  # warm with the old key set
         core.rotate_keys(retain_old=False)
         token = core.issue_token_for("developer-persona")
-        identity = verify_bearer(token, make_config(), cache, fetcher=fetcher)
+        identity = verify_bearer(token, make_config(), cache)
         assert identity.subject == "developer-persona"
         assert fetcher.calls == 2, "stale cache must force exactly one refresh"
 
@@ -490,46 +509,46 @@ class TestVerifyBearer:
         token = core.issue_token_for("developer-persona")
         core.rotate_keys(retain_old=False)
         fetcher = CountingFetcher(core)
-        cache = JwksCache(ttl=300)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher)
         with pytest.raises(UnknownKeyId):
-            verify_bearer(token, make_config(), cache, fetcher=fetcher)
+            verify_bearer(token, make_config(), cache)
         assert fetcher.calls == 2
 
     def test_unknown_kids_refresh_at_most_once_per_interval(self, signer):
         clock = [0.0]
         fetcher = CountingFetcher(signer)
-        cache = JwksCache(ttl=300, clock=lambda: clock[0])
-        cache.get(TEST_ISSUER, fetcher)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: clock[0])
+        cache.get()
         forged = unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for())
         for now, calls in ((0.0, 2), (9.9, 2), (10.0, 3)):
             clock[0] = now
             with pytest.raises(UnknownKeyId):
-                verify_bearer(forged, make_config(), cache, fetcher=fetcher)
+                verify_bearer(forged, make_config(), cache)
             assert fetcher.calls == calls, f"at t={now}"
 
     def test_rotated_key_verifies_once_the_interval_has_passed(self):
         core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
         clock = [0.0]
         fetcher = CountingFetcher(core)
-        cache = JwksCache(ttl=300, clock=lambda: clock[0])
-        cache.get(TEST_ISSUER, fetcher)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: clock[0])
+        cache.get()
         forged = unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for())
         with pytest.raises(UnknownKeyId):
-            verify_bearer(forged, make_config(), cache, fetcher=fetcher)
+            verify_bearer(forged, make_config(), cache)
         core.rotate_keys(retain_old=False)
         token = core.issue_token_for("developer-persona")
         clock[0] = 5.0
         with pytest.raises(UnknownKeyId):
-            verify_bearer(token, make_config(), cache, fetcher=fetcher)
+            verify_bearer(token, make_config(), cache)
         clock[0] = 10.0
-        identity = verify_bearer(token, make_config(), cache, fetcher=fetcher)
+        identity = verify_bearer(token, make_config(), cache)
         assert identity.subject == "developer-persona"
         assert fetcher.calls == 3
 
     def test_concurrent_unknown_kids_share_one_refresh(self, signer):
         fetcher = CountingFetcher(signer)
-        cache = JwksCache(ttl=300, clock=lambda: 0.0)
-        cache.get(TEST_ISSUER, fetcher)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: 0.0)
+        cache.get()
         start = threading.Barrier(8)
         errors = []
 
@@ -537,7 +556,7 @@ class TestVerifyBearer:
             forged = unsigned_token({"alg": "RS256", "kid": f"forged-{i}"}, claims_for())
             start.wait(timeout=5)
             try:
-                verify_bearer(forged, make_config(), cache, fetcher=fetcher)
+                verify_bearer(forged, make_config(), cache)
             except UnknownKeyId as exc:
                 errors.append(exc)
 
@@ -554,22 +573,19 @@ class TestVerifyBearer:
         core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
         token = core.issue_token_for("developer-persona")
         core.rotate_keys(retain_old=True)
-        identity = verify_bearer(
-            token, make_config(), JwksCache(), fetcher=CountingFetcher(core)
-        )
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(core))
+        identity = verify_bearer(token, make_config(), cache)
         assert identity.subject == "developer-persona"
 
     def test_deterministic_given_same_inputs(self, signer):
         token = signer.issue_token_for("operator-persona")
-        cache = JwksCache()
-        fetcher = CountingFetcher(signer)
-        first = verify_bearer(token, make_config(), cache, now=NOW, fetcher=fetcher)
-        second = verify_bearer(token, make_config(), cache, now=NOW, fetcher=fetcher)
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        first = verify_bearer(token, make_config(), cache, now=NOW)
+        second = verify_bearer(token, make_config(), cache, now=NOW)
         assert first == second
 
     def test_single_field_mutations_map_to_designated_errors(self, signer):
-        cache = JwksCache()
-        fetcher = CountingFetcher(signer)
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
         config = make_config()
         cases = [
             (signer.sign_claims(signer.standard_claims("developer-persona",
@@ -590,4 +606,4 @@ class TestVerifyBearer:
         ]
         for token, expected_error in cases:
             with pytest.raises(expected_error):
-                verify_bearer(token, config, cache, fetcher=fetcher)
+                verify_bearer(token, config, cache)
