@@ -56,14 +56,18 @@ def request(
     timeout: float = 10.0,
 ) -> HttpReply:
     """Issue one request and return the raw reply. Never follows redirects."""
-    parts = urlsplit(url)
+    # An unusable URL fails like a transport error: callers catch OSError.
+    try:
+        parts = urlsplit(url)
+        key = (parts.scheme, parts.hostname, parts.port)  # .port raises for a bad port
+    except ValueError as exc:
+        raise OSError(f"unusable URL {url!r}: {exc}") from exc
     if parts.scheme not in ("http", "https"):
-        raise ValueError(f"unsupported URL scheme in {url!r}")
+        raise OSError(f"unsupported URL scheme in {url!r}")
     path = parts.path or "/"
     if parts.query:
         path = f"{path}?{parts.query}"
     kept = _local.__dict__.setdefault("kept", _KeptConnections())
-    key = (parts.scheme, parts.hostname, parts.port)
     conn = kept.pop(key, None)
     if conn is None:
         if parts.scheme == "http":

@@ -27,12 +27,17 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from . import httpserve
+from .httpserve import Reply
 from .tokens import b64url_encode
 
 log = logging.getLogger("mcpidg.idp")
 
 DEFAULT_TOKEN_LIFETIME = 300.0
 CODE_LIFETIME_S = 60.0
+ISSUER_PATH = "/realms/master"
+# A token request has 5 fields and an authorize request 8; parse_qs
+# raises ValueError past this many, before building them all.
+MAX_FORM_FIELDS = 32
 
 
 class IdpError(Exception):
@@ -389,8 +394,7 @@ class MockIdp:
 @dataclass
 class IdpConfig:
     bind_address: str = "localhost:8081"
-    issuer_path: str = "/realms/master"
-    issuer_url: str | None = None  # derived from bind + issuer_path when unset
+    issuer_url: str | None = None  # derived from bind + ISSUER_PATH when unset
     audience: str = "http://localhost:8000/mcp"
     token_lifetime: float = DEFAULT_TOKEN_LIFETIME
     users: tuple[UserRecord, ...] = field(default_factory=default_users)
@@ -401,78 +405,31 @@ class IdpConfig:
         return self.bind_address.rsplit(":", 1)[0]
 
 
-class _IdpHandler(httpserve.Handler):
-    server_version = "mcpidg-idp"
-    log = log
-    log_query = False
+def _json_reply(doc: dict[str, Any], status: int = 200) -> Reply:
+    return Reply(status, {"Content-Type": "application/json"}, json.dumps(doc).encode("utf-8"))
 
-    def _reply_json(self, doc: dict[str, Any], status: int = 200) -> None:
-        self.reply(
-            status,
-            json.dumps(doc).encode("utf-8"),
-            {"Content-Type": "application/json"},
-        )
 
-    def _reply_error(self, exc: IdpError) -> None:
-        self._reply_json(
-            {"error": exc.oauth_error, "error_description": str(exc)},
-            status=exc.http_status,
-        )
+def _error_reply(exc: IdpError) -> Reply:
+    return _json_reply({"error": exc.oauth_error, "error_description": str(exc)}, exc.http_status)
 
-    def do_GET(self) -> None:
-        srv: IdpHandle = self.server  # type: ignore[assignment]
-        parts = urlsplit(self.path)
-        path = parts.path
-        prefix = srv.prefix
-        if path == f"{prefix}/.well-known/openid-configuration":
-            srv.count("discovery")
-            self._reply_json(srv.core.discovery_document())
-        elif path == f"{prefix}/jwks":
-            srv.count("jwks")
-            self._reply_json(srv.core.jwks_document())
-        elif path == f"{prefix}/authorize":
-            srv.count("authorize")
-            params = {k: v[0] for k, v in parse_qs(parts.query).items()}
-            try:
-                location = srv.core.handle_authorize(params)
-            except IdpError as exc:
-                self._reply_error(exc)
-                return
-            self.reply(302, headers={"Location": location})
-        else:
-            self.reply(404)
 
-    def do_POST(self) -> None:
-        srv: IdpHandle = self.server  # type: ignore[assignment]
-        if urlsplit(self.path).path != f"{srv.prefix}/token":
-            self.reply(404)
-            return
-        srv.count("token")
-        body = self.read_body()
-        if body is None:
-            return
-        try:
-            form = body.decode("utf-8")
-        except UnicodeDecodeError:
-            self._reply_error(IdpError("token request body is not UTF-8"))
-            return
-        params = {k: v[0] for k, v in parse_qs(form).items()}
-        try:
-            response = srv.core.handle_token(params)
-        except IdpError as exc:
-            self._reply_error(exc)
-            return
-        self._reply_json(response)
+def _form(data: str | bytes) -> dict[str, str]:
+    """The first value of each field; IdpError if not UTF-8 or past MAX_FORM_FIELDS."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        fields = parse_qs(text, max_num_fields=MAX_FORM_FIELDS)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise IdpError(f"unusable form: {exc}") from None
+    return {k: v[0] for k, v in fields.items()}
 
 
 class IdpHandle(httpserve.HttpServer):
     """A running mock identity provider with per-endpoint request counters."""
 
     core: MockIdp
-    prefix: str
 
     def __init__(self, bind_address: str):
-        super().__init__(bind_address, _IdpHandler)
+        super().__init__(bind_address, log)
         self._counters: Counter[str] = Counter()
         self._counter_lock = threading.Lock()
 
@@ -492,13 +449,36 @@ class IdpHandle(httpserve.HttpServer):
     def total_requests(self) -> int:
         return self.counters().get("total", 0)
 
+    # -- routes --------------------------------------------------------------
+
+    def _discovery(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
+        self.count("discovery")
+        return _json_reply(self.core.discovery_document())
+
+    def _jwks(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
+        self.count("jwks")
+        return _json_reply(self.core.jwks_document())
+
+    def _authorize(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
+        self.count("authorize")
+        try:
+            location = self.core.handle_authorize(_form(query))
+        except IdpError as exc:
+            return _error_reply(exc)
+        return Reply(302, {"Location": location})
+
+    def _token(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
+        self.count("token")
+        try:
+            return _json_reply(self.core.handle_token(_form(body)))
+        except IdpError as exc:
+            return _error_reply(exc)
+
 
 def serve_idp(config: IdpConfig) -> IdpHandle:
     """Bind, resolve the issuer URL, and start the provider."""
     handle = IdpHandle(config.bind_address)
-    issuer = config.issuer_url or (
-        f"http://{config.host}:{handle.port}{config.issuer_path}"
-    )
+    issuer = config.issuer_url or f"http://{config.host}:{handle.port}{ISSUER_PATH}"
     handle.core = MockIdp(
         issuer=issuer,
         audience=config.audience,
@@ -506,6 +486,12 @@ def serve_idp(config: IdpConfig) -> IdpHandle:
         clients=config.clients,
         token_lifetime=config.token_lifetime,
     )
-    handle.prefix = urlsplit(issuer).path.rstrip("/")
+    prefix = urlsplit(issuer).path.rstrip("/")
+    handle.routes = {
+        ("GET", f"{prefix}/.well-known/openid-configuration"): handle._discovery,
+        ("GET", f"{prefix}/jwks"): handle._jwks,
+        ("GET", f"{prefix}/authorize"): handle._authorize,
+        ("POST", f"{prefix}/token"): handle._token,
+    }
     handle.start("mcpidg-idp")
     return handle

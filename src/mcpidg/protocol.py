@@ -97,7 +97,7 @@ def parse_json(data: bytes) -> Any:
     """Decode one UTF-8 JSON document; raises ParseError otherwise."""
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:  # too deep, too long a number, not JSON
         raise ParseError(f"malformed JSON body: {exc}") from exc
 
 

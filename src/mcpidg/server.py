@@ -14,18 +14,20 @@ import logging
 import os
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 from urllib.parse import urlsplit
 
 from . import __version__, httpserve, protocol
 from .audit import AuditLog, AuditRecord, AuditSinkFailure, utc_timestamp
+from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
 from .tokens import JwksCache, TokenError, VerifierConfig, verify_bearer
 
 log = logging.getLogger("mcpidg.server")
 
 WELL_KNOWN_PATH = "/.well-known/oauth-protected-resource"
+MCP_PATH = "/mcp"
 BEARER_METHODS = ("header", "body")
 
 ENV_ISSUER = "MCPIDG_ISSUER"
@@ -67,9 +69,8 @@ class ProtectedResourceMetadata:
 @dataclass(frozen=True)
 class ServerConfig:
     bind_address: str = "localhost:8000"
-    mcp_path: str = "/mcp"
     issuer_url: str = "http://localhost:8081/realms/master"
-    resource_url: str | None = None  # derived from bind + mcp_path when unset
+    resource_url: str | None = None  # derived from bind + MCP_PATH when unset
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
     jwks_ttl: float = 300.0
     clock_skew: float = 30.0
@@ -131,15 +132,8 @@ def extract_bearer(headers: dict[str, str], doc: Any) -> str | None:
     return None
 
 
-@dataclass
-class HttpResult:
-    status: int
-    headers: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-
-
 class McpApp:
-    """Transport-independent request pipeline behind the HTTP handler."""
+    """Transport-independent request pipeline behind the server's routes."""
 
     def __init__(self, config: ServerConfig, policy: PolicyTable, registry: ToolRegistry):
         if config.resource_url is None:
@@ -160,7 +154,7 @@ class McpApp:
 
     # -- responses ---------------------------------------------------------
 
-    def challenge(self, token_presented: bool) -> HttpResult:
+    def challenge(self, token_presented: bool) -> Reply:
         """401 with a WWW-Authenticate header pointing at the metadata URL.
 
         The error parameter appears only when a credential was presented
@@ -169,17 +163,14 @@ class McpApp:
         value = f'Bearer resource_metadata="{self.metadata_url}"'
         if token_presented:
             value += ', error="invalid_token"'
-        return HttpResult(status=401, headers={"WWW-Authenticate": value})
+        return Reply(status=401, headers={"WWW-Authenticate": value})
 
-    def metadata_result(self) -> HttpResult:
-        return HttpResult(
-            status=200,
-            headers={"Content-Type": "application/json"},
-            body=self.metadata.to_json_bytes(),
-        )
+    def get_metadata(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
+        """The route serving the discovery document."""
+        return Reply(200, {"Content-Type": "application/json"}, self.metadata.to_json_bytes())
 
-    def _rpc_result(self, response: protocol.RpcResponse) -> HttpResult:
-        return HttpResult(
+    def _rpc_result(self, response: protocol.RpcResponse) -> Reply:
+        return Reply(
             status=200,
             headers={"Content-Type": "application/json"},
             body=protocol.encode_response(response),
@@ -191,7 +182,7 @@ class McpApp:
         code: int,
         message: str,
         data: Any = None,
-    ) -> HttpResult:
+    ) -> Reply:
         return self._rpc_result(protocol.error_response(request_id, code, message, data))
 
     # -- audit -------------------------------------------------------------
@@ -224,7 +215,7 @@ class McpApp:
 
     # -- pipeline ----------------------------------------------------------
 
-    def handle_mcp_post(self, headers: dict[str, str], body: bytes) -> HttpResult:
+    def handle_mcp_post(self, headers: dict[str, str], body: bytes) -> Reply:
         """Authentication strictly precedes JSON-RPC decoding and dispatch."""
         started = time.perf_counter()
 
@@ -275,7 +266,7 @@ class McpApp:
         if request.is_notification:
             # Notifications never receive an RPC body, even for unknown
             # methods; the transport acknowledges with 202.
-            return HttpResult(status=202)
+            return Reply(status=202)
 
         if request.method == "initialize":
             return self._rpc_result(
@@ -319,7 +310,7 @@ class McpApp:
         identity,
         validation_us: int,
         started: float,
-    ) -> HttpResult:
+    ) -> Reply:
         params = dict(request.params or {})
         # Transport-level field, never forwarded to handlers or audit.
         params.pop("authorization", None)
@@ -371,41 +362,6 @@ class McpApp:
         return self._rpc_result(protocol.RpcResponse(id=request.id, result=payload))
 
 
-class _Handler(httpserve.Handler):
-    server_version = "mcpidg"
-    log = log
-
-    def do_GET(self) -> None:
-        app: McpApp = self.server.app  # type: ignore[attr-defined]
-        if self.path in (WELL_KNOWN_PATH, WELL_KNOWN_PATH + app.config.mcp_path):
-            result = app.metadata_result()
-            self.reply(result.status, result.body, result.headers)
-        else:
-            self.reply(404)
-
-    def do_POST(self) -> None:
-        app: McpApp = self.server.app  # type: ignore[attr-defined]
-        if self.path != app.config.mcp_path:
-            self.reply(404)
-            return
-        body = self.read_body()
-        if body is None:
-            return
-        headers = {k.lower(): v for k, v in self.headers.items()}
-        try:
-            result = app.handle_mcp_post(headers, body)
-        except Exception:
-            log.exception("unhandled server error")
-            result = HttpResult(
-                status=200,
-                headers={"Content-Type": "application/json"},
-                body=protocol.encode_response(
-                    protocol.error_response(None, protocol.INTERNAL_ERROR, "internal error")
-                ),
-            )
-        self.reply(result.status, result.body, result.headers)
-
-
 class ServerHandle(httpserve.HttpServer):
     """A running resource server; stop() completes in-flight requests."""
 
@@ -422,15 +378,19 @@ class ServerHandle(httpserve.HttpServer):
 
 def serve(config: ServerConfig, policy: PolicyTable, registry: ToolRegistry) -> ServerHandle:
     """Bind, resolve the externally visible resource URL, and start serving."""
-    handle = ServerHandle(config.bind_address, _Handler)
-    resource_url = config.resource_url or (
-        f"http://{config.host}:{handle.port}{config.mcp_path}"
-    )
+    handle = ServerHandle(config.bind_address, log)
+    resource_url = config.resource_url or f"http://{config.host}:{handle.port}{MCP_PATH}"
     resolved = replace(
         config,
         bind_address=f"{config.host}:{handle.port}",
         resource_url=resource_url,
     )
-    handle.app = McpApp(resolved, policy, registry)
+    app = handle.app = McpApp(resolved, policy, registry)
+    handle.routes = {
+        ("GET", WELL_KNOWN_PATH): app.get_metadata,
+        ("GET", WELL_KNOWN_PATH + MCP_PATH): app.get_metadata,
+        # Looked up per call, so a wrapper set on McpApp later still applies.
+        ("POST", MCP_PATH): lambda query, headers, body: app.handle_mcp_post(headers, body),
+    }
     handle.start("mcpidg-server")
     return handle

@@ -175,7 +175,7 @@ def parse_compact(token: str) -> CompactJwt:
     try:
         header = json.loads(_b64url_decode(header_b64))
         payload = json.loads(_b64url_decode(payload_b64))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:  # too deep, too long a number, not JSON
         raise MalformedToken(f"header/payload is not JSON: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(payload, dict):
         raise MalformedToken("header and payload must be JSON objects")

@@ -5,7 +5,6 @@ import re
 import stat
 import sys
 import threading
-from urllib.parse import urlsplit
 
 import pytest
 
@@ -228,27 +227,24 @@ class TestTransportFailureAfterInitialize:
         assert "Traceback" not in capsys.readouterr().err
 
 
-class _CannedHandler(httpserve.Handler):
-    """Answers each path from the server's ``replies``: (status, body, headers)."""
+class _CannedReplies:
+    """Routes GET and POST on each path set here to its (status, body, headers)."""
 
-    log = logging.getLogger("tests.stub")
+    def __init__(self, routes):
+        self.routes = routes
 
-    def do_GET(self) -> None:
-        canned = self.server.replies.get(urlsplit(self.path).path, (404, b"", {}))
+    def __setitem__(self, path, canned):
         status, body, headers = canned
-        self.reply(status, body, headers)
-
-    def do_POST(self) -> None:
-        self.read_body()
-        self.do_GET()
+        reply = lambda query, request_headers, request_body: httpserve.Reply(status, headers, body)
+        self.routes["GET", path] = self.routes["POST", path] = reply
 
 
 @pytest.fixture
 def stub():
     """A server whose replies each test sets; ``stub.base`` is its origin."""
-    server = httpserve.HttpServer("127.0.0.1:0", _CannedHandler)
+    server = httpserve.HttpServer("127.0.0.1:0", logging.getLogger("tests.stub"))
     server.base = f"http://127.0.0.1:{server.port}"
-    server.replies = {}
+    server.replies = _CannedReplies(server.routes)
     server.start("stub")
     yield server
     server.stop()
@@ -301,6 +297,30 @@ class TestMalformedReplies:
 
     def test_conformance_exits_1_without_traceback(self, stub, capsys):
         mcp_url = _challenging_resource(stub, b"<html>sign in</html>")
+        exit_code = cli.main(["conformance", "--mcp-url", mcp_url, "--persona", "developer"])
+        assert exit_code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestUnusableUrls:
+    """A URL from a reply that is not a usable http(s) URL fails its step."""
+
+    URLS = ["ftp://x/meta", "http://x:abc/meta"]
+
+    @staticmethod
+    def _challenge_naming(stub, url):
+        stub.replies["/mcp"] = (401, b"", {"WWW-Authenticate": f'Bearer resource_metadata="{url}"'})
+        return f"{stub.base}/mcp"
+
+    @pytest.mark.parametrize("url", URLS)
+    def test_metadata_url_fails_at_step_3(self, stub, url):
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(self._challenge_naming(stub, url), "developer-persona")
+        assert excinfo.value.index == 3
+
+    @pytest.mark.parametrize("url", URLS)
+    def test_conformance_exits_1_without_traceback(self, stub, capsys, url):
+        mcp_url = self._challenge_naming(stub, url)
         exit_code = cli.main(["conformance", "--mcp-url", mcp_url, "--persona", "developer"])
         assert exit_code == 1
         assert "Traceback" not in capsys.readouterr().err

@@ -7,6 +7,7 @@ goes over the wire, not what a client library makes of it.
 from __future__ import annotations
 
 import http.client
+import logging
 import socket
 import time
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from urllib.parse import urlsplit
 import pytest
 
 from mcpidg import httpclient, httpserve
+from mcpidg.idp import MockIdp
+from mcpidg.server import McpApp
 from mcpidg.stack import start_stack
 
 
@@ -139,6 +142,41 @@ def test_fifty_sequential_kept_alive_requests_are_not_stalled(target):
             assert read_reply(rfile)[0] == 200
         elapsed = time.perf_counter() - started
     assert elapsed < 1.0
+
+
+def test_query_string_never_reaches_the_log(target, caplog):
+    caplog.set_level(logging.DEBUG)
+    sock, rfile = connect(target.port)
+    with sock, rfile:
+        sock.sendall(get(f"{target.get_path}?access_token=SECRET"))
+        status, _, _ = read_reply(rfile)
+    assert caplog.records
+    assert "SECRET" not in caplog.text
+    assert status == 200  # routes match the path without its query
+
+
+def test_route_that_raises_gets_500_and_the_connection_serves_on(
+    target, stack, monkeypatch, caplog
+):
+    def broken(*args):
+        raise RuntimeError("route failed")
+
+    if target.port == stack.server.port:
+        monkeypatch.setattr(McpApp, "handle_mcp_post", broken)
+        request = f"POST {target.post_path} HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{{}}".encode()
+    else:
+        monkeypatch.setattr(MockIdp, "jwks_document", broken)
+        request = get(f"{urlsplit(stack.issuer).path}/jwks")
+    sock, rfile = connect(target.port)
+    with sock, rfile:
+        sock.sendall(request)
+        status, headers, _ = read_reply(rfile)
+        assert status == 500
+        assert headers.get("connection", "").lower() != "close"
+        kept_alive_exchange(sock, rfile, target)
+    failures = [r for r in caplog.records if r.getMessage() == "unhandled server error"]
+    assert len(failures) == 1
+    assert failures[0].exc_info is not None
 
 
 def test_stop_ends_idle_kept_alive_connections(tmp_path):

@@ -372,6 +372,26 @@ class TestHttpSurface:
         assert token_reply.status == 400
         assert token_reply.json()["error"] == "invalid_grant"
 
+    def test_token_request_past_the_field_cap_is_invalid_request(self, stack):
+        pkce = generate_pkce()
+        query = urlencode(authorize_params(pkce))
+        code = code_from(httpclient.get(f"{stack.issuer}/authorize?{query}").header("location"))
+        padded = dict(token_params(code, pkce), **{f"pad{i}": "x" for i in range(40)})
+        token_reply = httpclient.post(
+            f"{stack.issuer}/token",
+            urlencode(padded).encode(),
+            {"Content-Type": "application/x-www-form-urlencoded"},
+        )
+        assert token_reply.status == 400
+        assert token_reply.json()["error"] == "invalid_request"
+        assert "access_token" not in token_reply.json()
+
+    def test_authorize_request_past_the_field_cap_is_invalid_request(self, stack):
+        params = dict(authorize_params(generate_pkce()), **{f"pad{i}": "x" for i in range(40)})
+        reply = httpclient.get(f"{stack.issuer}/authorize?{urlencode(params)}")
+        assert reply.status == 400
+        assert reply.json()["error"] == "invalid_request"
+
     def test_default_config_derives_reference_issuer(self):
         from mcpidg.idp import IdpConfig, serve_idp
 

@@ -309,6 +309,45 @@ class TestAuthBeforeDispatch:
         assert read_records(stack.audit_path)[-1]["subject"] == "developer-persona"
 
 
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+LONG_INTEGER = b'{"jsonrpc": "2.0", "id": ' + b"9" * 5000 + b', "method": "initialize"}'
+
+
+def token_with_payload(payload: bytes) -> str:
+    header = json.dumps({"alg": "RS256", "typ": "JWT", "kid": "k"}).encode()
+    return f"{b64url_encode(header)}.{b64url_encode(payload)}.{b64url_encode(b'sig')}"
+
+
+class TestHostileJson:
+    """JSON too deep or with too long a number is rejected, never a 200."""
+
+    @pytest.mark.parametrize("body", [DEEP_JSON, LONG_INTEGER], ids=["deep", "long-integer"])
+    def test_body_without_credential_is_challenged(self, stack, caplog, body):
+        reply = mcp_post(stack.mcp_url, body)
+        assert reply.status == 401
+        assert reply.header("www-authenticate") == (
+            f'Bearer resource_metadata="{stack.server.metadata_url}"'
+        )
+        assert [r["deny_reason"] for r in read_records(stack.audit_path)] == [{"kind": "no_token"}]
+        assert "unhandled server error" not in caplog.text
+
+    @pytest.mark.parametrize("bearer_mode", ["header", "body"])
+    @pytest.mark.parametrize(
+        "payload",
+        [b"[" * 20_000 + b"]" * 20_000, b'{"exp": ' + b"9" * 5000 + b"}"],
+        ids=["deep", "long-integer"],
+    )
+    def test_token_payload_is_invalid_token(self, stack, caplog, payload, bearer_mode):
+        token = token_with_payload(payload)
+        reply = mcp_post(stack.mcp_url, rpc("initialize", 1), token, bearer_mode)
+        assert reply.status == 401
+        assert 'error="invalid_token"' in reply.header("www-authenticate")
+        assert [r["deny_reason"] for r in read_records(stack.audit_path)] == [
+            {"kind": "invalid_token"}
+        ]
+        assert "unhandled server error" not in caplog.text
+
+
 class TestForgedKeyIds:
     def test_forged_kids_cost_at_most_one_key_refresh(self, stack):
         token = mint(stack, "developer-persona")
