@@ -108,21 +108,16 @@ def _wait_for_signal() -> None:
 
 
 def cmd_serve_idp(args: argparse.Namespace) -> int:
-    config = IdpConfig(
-        bind_address=args.bind,
-        issuer_url=args.issuer,
-        audience=args.audience,
-        token_lifetime=args.token_lifetime,
-    )
+    users = clients = None
     if args.fixtures:
         try:
             with open(args.fixtures, encoding="utf-8") as fh:
-                config.users, config.clients = load_fixtures(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+                users, clients = load_fixtures(json.load(fh))
+        except (OSError, ValueError, RecursionError) as exc:
             log.error("cannot load fixtures %r: %s", args.fixtures, exc)
             return EXIT_INFRASTRUCTURE
     try:
-        handle = serve_idp(config)
+        handle = serve_idp(IdpConfig(args.bind, args.issuer, args.audience, users, clients))
     except BindFailure as exc:
         log.error("%s", exc)
         return EXIT_INFRASTRUCTURE
@@ -135,19 +130,14 @@ def cmd_serve_idp(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_mcp(args: argparse.Namespace) -> int:
-    config = ServerConfig.from_env(
+    config = ServerConfig(
         bind_address=args.bind,
         issuer_url=args.issuer,
         resource_url=args.resource,
-        policy_path=args.policy,
-        audit_sink=args.audit,
-        required_scopes=(
-            frozenset(s for s in args.required_scopes.split(",") if s)
-            if args.required_scopes is not None
-            else None
-        ),
+        required_scopes=args.required_scopes,
         jwks_ttl=args.jwks_ttl,
-        clock_skew=args.clock_skew,
+        audit_sink=args.audit,
+        policy_path=args.policy,
     )
     registry = default_registry()
     try:
@@ -432,67 +422,51 @@ def policy_report(table: PolicyTable, registry) -> dict[str, Any]:
 # -- parser ------------------------------------------------------------------
 
 
-def _peek_config(argv: list[str]) -> dict[str, Any]:
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-        else:
-            continue
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must contain a JSON object")
-        return loaded
-    return {}
-
-
-def build_parser(config: dict[str, Any]) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The serve defaults are read from ServerConfig and IdpConfig, not restated."""
     parser = argparse.ArgumentParser(
         prog="mcpidg",
         description="Identity-gated MCP resource server, mock OIDC provider, "
         "conformance harness, and latency benchmark.",
     )
     parser.add_argument("--version", action="version", version=f"mcpidg {__version__}")
-    parser.add_argument("--config", help="JSON file with per-command default flags")
     parser.add_argument(
         "--log-level", default="info",
         choices=["debug", "info", "warning", "error"],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def defaults_for(name: str, sp: argparse.ArgumentParser) -> None:
-        section = config.get(name, {})
-        if isinstance(section, dict):
-            sp.set_defaults(**{k.replace("-", "_"): v for k, v in section.items()})
-
     p = sub.add_parser("serve-idp", help="run the mock identity provider")
-    p.add_argument("--bind", default="localhost:8081", help="host:port (0 = ephemeral)")
+    p.add_argument(
+        "--bind", default=IdpConfig.bind_address,
+        help="host:port, port 0 = ephemeral (default: %(default)s)",
+    )
     p.add_argument("--issuer", default=None, help="issuer URL (default: derived from bind)")
     p.add_argument(
-        "--audience", default="http://localhost:8000/mcp",
-        help="resource URL stamped into the aud claim",
+        "--audience", default=IdpConfig.audience,
+        help="resource URL stamped into the aud claim (default: %(default)s)",
     )
-    p.add_argument("--token-lifetime", type=float, default=300.0)
     p.add_argument(
         "--fixtures", default=None,
         help="JSON document with fixture users and client registrations",
     )
     p.set_defaults(func=cmd_serve_idp)
-    defaults_for("serve-idp", p)
 
     p = sub.add_parser("serve-mcp", help="run the MCP resource server")
-    p.add_argument("--bind", default=None, help="host:port (default localhost:8000)")
-    p.add_argument("--issuer", default=None, help="trusted issuer URL")
+    p.add_argument(
+        "--bind", default=ServerConfig.bind_address, help="host:port (default: %(default)s)"
+    )
+    p.add_argument("--issuer", default=ServerConfig.issuer_url, help="trusted issuer URL")
     p.add_argument("--resource", default=None, help="externally visible MCP URL")
     p.add_argument("--policy", default=None, help="policy JSON path (default: shipped mapping)")
-    p.add_argument("--audit", default=None, help="audit sink path (JSON Lines)")
-    p.add_argument("--required-scopes", default=None, help="comma-separated server-wide scopes")
-    p.add_argument("--jwks-ttl", type=float, default=None)
-    p.add_argument("--clock-skew", type=float, default=None)
+    p.add_argument("--audit", default=ServerConfig.audit_sink, help="audit sink path (JSON Lines)")
+    p.add_argument(
+        "--required-scopes", default=ServerConfig.required_scopes,
+        type=lambda text: frozenset(s for s in text.split(",") if s),
+        help="comma-separated server-wide scopes",
+    )
+    p.add_argument("--jwks-ttl", type=float, default=ServerConfig.jwks_ttl)
     p.set_defaults(func=cmd_serve_mcp)
-    defaults_for("serve-mcp", p)
 
     p = sub.add_parser("conformance", help="drive the end-to-end authorization sequence")
     p.add_argument("--mcp-url", default=None, help="target an already-running server")
@@ -513,7 +487,6 @@ def build_parser(config: dict[str, Any]) -> argparse.ArgumentParser:
         help="run the sequence N times; runs after the first must reuse the cached token",
     )
     p.set_defaults(func=cmd_conformance)
-    defaults_for("conformance", p)
 
     p = sub.add_parser("bench", help="latency benchmark (self-contained)")
     p.add_argument(
@@ -524,25 +497,16 @@ def build_parser(config: dict[str, Any]) -> argparse.ArgumentParser:
     p.add_argument("--persona", default="developer-persona")
     p.add_argument("--tool", default="docs_search")
     p.set_defaults(func=cmd_bench)
-    defaults_for("bench", p)
 
     p = sub.add_parser("policy-check", help="lint a policy document")
     p.add_argument("policy_path")
     p.set_defaults(func=cmd_policy_check)
-    defaults_for("policy-check", p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        config = _peek_config(argv)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load --config file: {exc}", file=sys.stderr)
-        return EXIT_INFRASTRUCTURE
-    parser = build_parser(config)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     level = getattr(logging, args.log_level.upper())
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s  %(message)s")
     # Log capture may raise package logger levels; the stderr handler must

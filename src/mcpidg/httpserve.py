@@ -52,15 +52,20 @@ class HttpServer(ThreadingHTTPServer):
         self.stopping = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        host, _, port = bind_address.rpartition(":")
+        # Kept as given: "localhost" stays "localhost" in the URLs built on it.
+        self.host, _, port = bind_address.rpartition(":")
         try:
-            super().__init__((host, int(port)), Handler)
-        except OSError as exc:
+            super().__init__((self.host, int(port)), Handler)
+        except (OSError, ValueError, OverflowError) as exc:
             raise BindFailure(f"cannot bind {bind_address!r}: {exc}") from exc
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    @property
+    def origin(self) -> str:
+        return f"http://{self.host}:{self.port}"
 
     def start(self, thread_name: str) -> None:
         self._thread = threading.Thread(

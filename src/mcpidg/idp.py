@@ -19,7 +19,7 @@ import threading
 import time
 import uuid
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlencode, urlsplit
 
@@ -32,7 +32,7 @@ from .tokens import b64url_encode
 
 log = logging.getLogger("mcpidg.idp")
 
-DEFAULT_TOKEN_LIFETIME = 300.0
+TOKEN_LIFETIME_S = 300
 CODE_LIFETIME_S = 60.0
 ISSUER_PATH = "/realms/master"
 # A token request has 5 fields and an authorize request 8; parse_qs
@@ -144,28 +144,39 @@ def s256_challenge(verifier: str) -> str:
 
 
 def load_fixtures(
-    document: dict[str, Any],
+    document: Any,
 ) -> tuple[tuple[UserRecord, ...], tuple[ClientRegistration, ...]]:
     """Users and client registrations from a config document.
 
     Either section may be omitted, in which case the shipped defaults
     apply. Schema: {"users": [{"username", "roles", "grantable_scopes"}],
-    "clients": [{"client_id", "redirect_uris"}]}.
+    "clients": [{"client_id", "redirect_uris"}]}; every name is a string
+    and every list an array of strings. ValueError names the first defect.
     """
+    if not isinstance(document, dict):
+        raise ValueError("fixtures must be a JSON object")
+
+    def entries(section: str, name: str) -> list[dict[str, Any]]:
+        found = document.get(section, [])
+        if not isinstance(found, list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get(name), str) for entry in found
+        ):
+            raise ValueError(f"{section!r} must be an array of objects with a string {name!r}")
+        return found
+
+    def strings(entry: dict[str, Any], key: str) -> frozenset[str]:
+        value = entry.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{key!r} must be an array of strings")
+        return frozenset(value)
+
     users = tuple(
-        UserRecord(
-            username=entry["username"],
-            roles=frozenset(entry.get("roles", [])),
-            grantable_scopes=frozenset(entry.get("grantable_scopes", [])),
-        )
-        for entry in document.get("users", [])
+        UserRecord(entry["username"], strings(entry, "roles"), strings(entry, "grantable_scopes"))
+        for entry in entries("users", "username")
     ) or default_users()
     clients = tuple(
-        ClientRegistration(
-            client_id=entry["client_id"],
-            redirect_uris=frozenset(entry.get("redirect_uris", [])),
-        )
-        for entry in document.get("clients", [])
+        ClientRegistration(entry["client_id"], strings(entry, "redirect_uris"))
+        for entry in entries("clients", "client_id")
     ) or default_clients()
     return users, clients
 
@@ -201,12 +212,10 @@ class MockIdp:
         audience: str,
         users: tuple[UserRecord, ...] | None = None,
         clients: tuple[ClientRegistration, ...] | None = None,
-        token_lifetime: float = DEFAULT_TOKEN_LIFETIME,
         clock: Callable[[], float] = time.time,
     ):
         self.issuer = issuer.rstrip("/")
         self.audience = audience
-        self.token_lifetime = token_lifetime
         self._clock = clock
         self.users = {u.username: u for u in (users or default_users())}
         self.clients = {c.client_id: c for c in (clients or default_clients())}
@@ -268,7 +277,7 @@ class MockIdp:
             "sub": username,
             "aud": [self.audience],
             "iat": now,
-            "exp": now + int(lifetime if lifetime is not None else self.token_lifetime),
+            "exp": now + int(TOKEN_LIFETIME_S if lifetime is None else lifetime),
             "jti": str(uuid.uuid4()),
             "scope": " ".join(sorted(scopes)),
             "roles": sorted(user.roles),
@@ -386,23 +395,18 @@ class MockIdp:
         return {
             "access_token": token,
             "token_type": "Bearer",
-            "expires_in": int(self.token_lifetime),
+            "expires_in": TOKEN_LIFETIME_S,
             "scope": " ".join(sorted(record.scopes)),
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdpConfig:
     bind_address: str = "localhost:8081"
     issuer_url: str | None = None  # derived from bind + ISSUER_PATH when unset
     audience: str = "http://localhost:8000/mcp"
-    token_lifetime: float = DEFAULT_TOKEN_LIFETIME
-    users: tuple[UserRecord, ...] = field(default_factory=default_users)
-    clients: tuple[ClientRegistration, ...] = field(default_factory=default_clients)
-
-    @property
-    def host(self) -> str:
-        return self.bind_address.rsplit(":", 1)[0]
+    users: tuple[UserRecord, ...] | None = None  # None: default_users()
+    clients: tuple[ClientRegistration, ...] | None = None  # None: default_clients()
 
 
 def _json_reply(doc: dict[str, Any], status: int = 200) -> Reply:
@@ -478,14 +482,8 @@ class IdpHandle(httpserve.HttpServer):
 def serve_idp(config: IdpConfig) -> IdpHandle:
     """Bind, resolve the issuer URL, and start the provider."""
     handle = IdpHandle(config.bind_address)
-    issuer = config.issuer_url or f"http://{config.host}:{handle.port}{ISSUER_PATH}"
-    handle.core = MockIdp(
-        issuer=issuer,
-        audience=config.audience,
-        users=config.users,
-        clients=config.clients,
-        token_lifetime=config.token_lifetime,
-    )
+    issuer = config.issuer_url or handle.origin + ISSUER_PATH
+    handle.core = MockIdp(issuer, config.audience, config.users, config.clients)
     prefix = urlsplit(issuer).path.rstrip("/")
     handle.routes = {
         ("GET", f"{prefix}/.well-known/openid-configuration"): handle._discovery,

@@ -152,8 +152,8 @@ def load_policy_file(path: str, registry: ToolRegistry) -> PolicyTable:
     with open(path, encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PolicyFormatError(f"policy file {path!r} is not JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
+            raise PolicyFormatError(f"policy file {path!r} is not usable JSON: {exc}") from exc
     return load_policy(document, registry)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 import uuid
 from dataclasses import dataclass, replace
@@ -22,19 +21,13 @@ from . import __version__, httpserve, protocol
 from .audit import AuditLog, AuditRecord, AuditSinkFailure, utc_timestamp
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
-from .tokens import JwksCache, TokenError, VerifierConfig, verify_bearer
+from .tokens import DEFAULT_JWKS_TTL, JwksCache, TokenError, VerifierConfig, verify_bearer
 
 log = logging.getLogger("mcpidg.server")
 
 WELL_KNOWN_PATH = "/.well-known/oauth-protected-resource"
 MCP_PATH = "/mcp"
 BEARER_METHODS = ("header", "body")
-
-ENV_ISSUER = "MCPIDG_ISSUER"
-ENV_RESOURCE = "MCPIDG_RESOURCE"
-ENV_BIND = "MCPIDG_BIND"
-ENV_POLICY = "MCPIDG_POLICY"
-ENV_AUDIT = "MCPIDG_AUDIT"
 
 
 class MalformedAuthorizationHeader(Exception):
@@ -72,28 +65,9 @@ class ServerConfig:
     issuer_url: str = "http://localhost:8081/realms/master"
     resource_url: str | None = None  # derived from bind + MCP_PATH when unset
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
-    jwks_ttl: float = 300.0
-    clock_skew: float = 30.0
+    jwks_ttl: float = DEFAULT_JWKS_TTL
     audit_sink: str = "audit.jsonl"
     policy_path: str | None = None
-
-    @property
-    def host(self) -> str:
-        return self.bind_address.rsplit(":", 1)[0]
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "ServerConfig":
-        """Defaults < environment < explicit overrides."""
-        env_map = {
-            "issuer_url": os.environ.get(ENV_ISSUER),
-            "resource_url": os.environ.get(ENV_RESOURCE),
-            "bind_address": os.environ.get(ENV_BIND),
-            "policy_path": os.environ.get(ENV_POLICY),
-            "audit_sink": os.environ.get(ENV_AUDIT),
-        }
-        merged = {k: v for k, v in env_map.items() if v is not None}
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**merged)
 
 
 def metadata_document(config: ServerConfig) -> ProtectedResourceMetadata:
@@ -143,11 +117,7 @@ class McpApp:
         self.registry = registry
         self.cache = JwksCache(config.issuer_url, ttl=config.jwks_ttl)
         self.audit = AuditLog(config.audit_sink)
-        self.verifier_config = VerifierConfig(
-            resource=config.resource_url,
-            required_scopes=config.required_scopes,
-            skew=config.clock_skew,
-        )
+        self.verifier_config = VerifierConfig(config.resource_url, config.required_scopes)
         origin = urlsplit(config.resource_url)
         self.metadata_url = f"{origin.scheme}://{origin.netloc}{WELL_KNOWN_PATH}"
         self.metadata = metadata_document(config)
@@ -379,12 +349,7 @@ class ServerHandle(httpserve.HttpServer):
 def serve(config: ServerConfig, policy: PolicyTable, registry: ToolRegistry) -> ServerHandle:
     """Bind, resolve the externally visible resource URL, and start serving."""
     handle = ServerHandle(config.bind_address, log)
-    resource_url = config.resource_url or f"http://{config.host}:{handle.port}{MCP_PATH}"
-    resolved = replace(
-        config,
-        bind_address=f"{config.host}:{handle.port}",
-        resource_url=resource_url,
-    )
+    resolved = replace(config, resource_url=config.resource_url or handle.origin + MCP_PATH)
     app = handle.app = McpApp(resolved, policy, registry)
     handle.routes = {
         ("GET", WELL_KNOWN_PATH): app.get_metadata,

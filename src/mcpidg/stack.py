@@ -49,14 +49,9 @@ def start_stack(
 ) -> LocalStack:
     registry = registry or default_registry()
     policy = policy or default_policy(registry)
-    idp_config = IdpConfig(
-        bind_address="127.0.0.1:0", audience="(resolved after server start)"
-    )
-    if users is not None:
-        idp_config.users = users
-    if clients is not None:
-        idp_config.clients = clients
-    idp = serve_idp(idp_config)
+    idp = serve_idp(IdpConfig(
+        "127.0.0.1:0", audience="(resolved after server start)", users=users, clients=clients
+    ))
     try:
         server = serve(
             ServerConfig(

@@ -266,7 +266,7 @@ def validate_claims(
     iat = claims.get("iat")
     iat = int(iat) if isinstance(iat, (int, float)) and not isinstance(iat, bool) else 0
     if exp <= iat:
-        raise Expired("token lifetime is empty or inverted (exp <= iat)")
+        raise Expired("token validity window is empty or inverted (exp <= iat)")
     if now > exp + skew:
         raise Expired(f"token expired at {int(exp)} (now {int(now)})")
     nbf = claims.get("nbf")
@@ -424,7 +424,6 @@ def mask_subject(subject: str) -> str:
 class VerifierConfig:
     resource: str
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
-    skew: float = DEFAULT_CLOCK_SKEW
 
 
 def verify_bearer(
@@ -457,7 +456,6 @@ def verify_bearer(
         expected_resource=config.resource,
         required_scopes=config.required_scopes,
         now=time.time() if now is None else now,
-        skew=config.skew,
     )
     log.info("Authenticated user: %s", mask_subject(identity.subject))
     return identity

@@ -1,16 +1,50 @@
+import importlib.util
 import json
 import signal
+import socket
 import statistics
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from mcpidg import bench, cli, httpclient
+import oracles
+from mcpidg import bench, cli, harness, httpclient
 from mcpidg.cli import is_ordered_subsequence, policy_report, resolve_persona
 from mcpidg.policy import PolicyTable, load_policy
 from mcpidg.tools import default_registry
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH_PROCS = SRC_DIR.parent / "perfbench" / "procs.py"
+
+
+def free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@contextmanager
+def serving(*cli_args: str, ready: str):
+    """Run `mcpidg <cli_args>` until SIGTERM; yields what follows `ready` in its log."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "mcpidg.cli", *cli_args], stderr=subprocess.PIPE, text=True
+    ) as proc:
+        try:
+            announced = None
+            deadline = time.time() + 10
+            while announced is None and time.time() < deadline:
+                line = proc.stderr.readline()
+                if ready in line:
+                    announced = line.rsplit(ready, 1)[1].strip()
+            assert announced, "server never reported readiness"
+            yield announced
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
 
 
 class TestPercentile:
@@ -210,20 +244,6 @@ class TestCliBench:
         assert code == 1
 
 
-class TestCliConfigFile:
-    def test_config_provides_subcommand_defaults(self, tmp_path, capsys):
-        from importlib import resources
-
-        policy_path = str(resources.files("mcpidg").joinpath("data/default_policy.json"))
-        config_path = tmp_path / "conf.json"
-        config_path.write_text(json.dumps({"policy-check": {}}))
-        assert cli.main(["--config", str(config_path), "policy-check", policy_path]) == 0
-
-    def test_unreadable_config_exits_one(self, tmp_path):
-        assert cli.main(["--config", str(tmp_path / "no.json"),
-                         "policy-check", "x"]) == 1
-
-
 class TestServeCommands:
     def test_serve_mcp_bad_policy_path_exits_one(self, tmp_path, capsys):
         code = cli.main([
@@ -233,52 +253,102 @@ class TestServeCommands:
         ])
         assert code == 1
 
-    def test_serve_idp_runs_until_signalled(self, tmp_path):
-        with subprocess.Popen(
-            [sys.executable, "-m", "mcpidg.cli", "serve-idp", "--bind", "127.0.0.1:0"],
-            stderr=subprocess.PIPE,
-            text=True,
-        ) as proc:
-            try:
-                issuer = None
-                deadline = time.time() + 10
-                while time.time() < deadline:
-                    line = proc.stderr.readline()
-                    if "issuer" in line:
-                        issuer = line.rsplit("issuer ", 1)[1].strip()
-                        break
-                assert issuer, "server never reported readiness"
-                reply = httpclient.get(f"{issuer}/.well-known/openid-configuration")
-                assert reply.status == 200
-                assert reply.json()["issuer"] == issuer
-            finally:
-                proc.send_signal(signal.SIGTERM)
-                assert proc.wait(timeout=10) == 0
+    @pytest.mark.parametrize("content", [
+        b'{"rules": [], "note": "\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "too-deep"])
+    @pytest.mark.parametrize("command", [
+        ["policy-check"],
+        ["serve-mcp", "--bind", "127.0.0.1:0", "--policy"],
+    ])
+    def test_unusable_policy_exits_one(self, tmp_path, command, content):
+        path = tmp_path / "policy.json"
+        path.write_bytes(content)
+        assert cli.main(["--log-level", "error", *command, str(path)]) == 1
+
+    @pytest.mark.parametrize("bind", ["localhost", "localhost:abc", "127.0.0.1:70000"])
+    def test_unusable_bind_exits_one(self, bind):
+        assert cli.main(["--log-level", "error", "serve-idp", "--bind", bind]) == 1
+
+    @pytest.mark.parametrize("content", ["[]", "[" * 100_000 + "]" * 100_000])
+    def test_malformed_fixtures_exit_one(self, tmp_path, content):
+        path = tmp_path / "fixtures.json"
+        path.write_text(content)
+        assert cli.main([
+            "--log-level", "error",
+            "serve-idp", "--bind", "127.0.0.1:0", "--fixtures", str(path),
+        ]) == 1
+
+    def test_serve_idp_runs_until_signalled(self):
+        with serving("serve-idp", "--bind", "127.0.0.1:0", ready="issuer ") as issuer:
+            reply = httpclient.get(f"{issuer}/.well-known/openid-configuration")
+            assert reply.status == 200
+            assert reply.json()["issuer"] == issuer
 
     def test_serve_mcp_runs_until_signalled(self, tmp_path):
-        with subprocess.Popen(
-            [
-                sys.executable, "-m", "mcpidg.cli", "serve-mcp",
-                "--bind", "127.0.0.1:0",
-                "--audit", str(tmp_path / "audit.jsonl"),
-            ],
-            stderr=subprocess.PIPE,
-            text=True,
-        ) as proc:
-            try:
-                resource = None
-                deadline = time.time() + 10
-                while time.time() < deadline:
-                    line = proc.stderr.readline()
-                    if "ready at" in line:
-                        resource = line.rsplit("ready at ", 1)[1].strip()
-                        break
-                assert resource, "server never reported readiness"
-                reply = httpclient.post(
-                    resource, b'{"jsonrpc":"2.0","id":1,"method":"initialize"}',
-                    {"Content-Type": "application/json"},
-                )
-                assert reply.status == 401
-            finally:
-                proc.send_signal(signal.SIGTERM)
-                assert proc.wait(timeout=10) == 0
+        with serving(
+            "serve-mcp", "--bind", "127.0.0.1:0", "--audit", str(tmp_path / "audit.jsonl"),
+            ready="ready at ",
+        ) as resource:
+            reply = httpclient.post(
+                resource, b'{"jsonrpc":"2.0","id":1,"method":"initialize"}',
+                {"Content-Type": "application/json"},
+            )
+            assert reply.status == 401
+
+    def test_serve_mcp_flags_reach_the_server(self, tmp_path):
+        port = free_port()
+        origin = f"http://127.0.0.1:{port}"
+        resource = f"http://localhost:{port}/mcp"  # not the URL derived from the bind
+        issuer = "http://issuer.test/realms/x"
+        audit = tmp_path / "audit.jsonl"
+        with serving(
+            "serve-mcp", "--bind", f"127.0.0.1:{port}", "--issuer", issuer,
+            "--resource", resource, "--required-scopes", "a,b", "--audit", str(audit),
+            ready="ready at ",
+        ) as announced:
+            assert announced == resource
+            doc = httpclient.get(f"{origin}/.well-known/oauth-protected-resource").json()
+            assert doc["resource"] == resource
+            assert doc["authorization_servers"] == [issuer]
+            assert doc["scopes_supported"] == ["a", "b"]
+            assert httpclient.post(f"{origin}/mcp", b"{}").status == 401
+        assert json.loads(audit.read_text())["deny_reason"] == {"kind": "no_token"}
+
+    def test_serve_idp_flags_reach_the_provider(self, tmp_path):
+        port = free_port()
+        issuer = f"http://127.0.0.1:{port}/realms/custom"
+        audience = "http://rs.test/mcp"
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"users": [
+            {"username": "auditor", "roles": ["auditor"], "grantable_scopes": ["openid"]}
+        ]}))
+        with serving(
+            "serve-idp", "--bind", f"127.0.0.1:{port}", "--issuer", issuer,
+            "--audience", audience, "--fixtures", str(fixtures), ready="issuer ",
+        ) as announced:
+            assert announced == issuer
+            discovery = harness.discover_oidc(issuer)
+            assert discovery["issuer"] == issuer
+            response = harness.acquire_token(
+                discovery, "auditor", harness.generate_pkce(), frozenset({"openid"})
+            )
+        _, claims, _, _ = oracles.decode_compact(response["access_token"])
+        assert (claims["iss"], claims["sub"], claims["aud"]) == (issuer, "auditor", [audience])
+        assert claims["exp"] - claims["iat"] == response["expires_in"] == 300
+
+    def test_benchmark_command_lines_start_both_servers(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("procs_under_test", PERFBENCH_PROCS)
+        procs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(procs)
+        stack = procs.Stack(str(tmp_path), str(SRC_DIR))
+        try:
+            stack.wait_ready()
+            discovery = httpclient.get(f"{stack.issuer}/.well-known/openid-configuration")
+            assert discovery.json()["issuer"] == stack.issuer
+            metadata = httpclient.get(stack.metadata_url).json()
+            assert metadata["resource"] == stack.mcp_url
+            assert metadata["authorization_servers"] == [stack.issuer]
+        finally:
+            clean = stack.stop()
+        assert clean

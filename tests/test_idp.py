@@ -436,6 +436,23 @@ class TestFixtureLoading:
         assert users == default_users()
         assert clients == default_clients()
 
+    @pytest.mark.parametrize("document", [
+        [],
+        {"users": {"username": "auditor"}},
+        {"users": [1]},
+        {"users": [{"roles": ["auditor"]}]},
+        {"users": [{"username": 7}]},
+        {"users": [{"username": "auditor", "roles": "developer"}]},
+        {"users": [{"username": "auditor", "grantable_scopes": ["openid", 1]}]},
+        {"clients": [{"redirect_uris": ["http://localhost:9/cb"]}]},
+        {"clients": [{"client_id": "ci-bot", "redirect_uris": "http://localhost:9/cb"}]},
+    ])
+    def test_malformed_document_is_value_error(self, document):
+        from mcpidg.idp import load_fixtures
+
+        with pytest.raises(ValueError):
+            load_fixtures(document)
+
     def test_fixture_users_drive_the_flow(self, tmp_path):
         import json as json_mod
 

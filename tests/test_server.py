@@ -550,12 +550,3 @@ class TestServeLifecycle:
     def test_ephemeral_port_resolution(self, stack):
         assert stack.server.port != 0
         assert f":{stack.server.port}/mcp" in stack.server.resource_url
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("MCPIDG_ISSUER", "http://env-issuer/realms/x")
-        monkeypatch.setenv("MCPIDG_AUDIT", "/tmp/env-audit.jsonl")
-        config = ServerConfig.from_env()
-        assert config.issuer_url == "http://env-issuer/realms/x"
-        assert config.audit_sink == "/tmp/env-audit.jsonl"
-        explicit = ServerConfig.from_env(issuer_url="http://explicit")
-        assert explicit.issuer_url == "http://explicit"

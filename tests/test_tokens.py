@@ -39,7 +39,6 @@ def make_config(**overrides) -> VerifierConfig:
     base = dict(
         resource=TEST_RESOURCE,
         required_scopes=frozenset({"openid", "profile"}),
-        skew=30.0,
     )
     base.update(overrides)
     return VerifierConfig(**base)
