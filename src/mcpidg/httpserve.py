@@ -6,8 +6,14 @@ Each server answers GET and POST from its ``routes`` table, keyed by
 a Reply; an unknown path gets 404 before any body is read, and an
 exception escaping a route is logged and answered 500.
 
+The request head is parsed here (RFC 9112): a malformed or ambiguous one
+gets 400, 505 from HTTP/2 on, and 431 past MAX_HEAD_BYTES or
+MAX_HEADER_FIELDS. A body may hold at most MAX_BODY_BYTES, and a request,
+head and body, must arrive within HEAD_TIMEOUT_S of its first byte.
+
 Connections are persistent (RFC 9112 §9.3), each served by its own
-thread. A request body may hold at most MAX_BODY_BYTES, and a connection
+thread. At MAX_CONNECTIONS a new connection ends the oldest one waiting
+for a request, or gets 503 when every one is mid-request. A connection
 that sends nothing for IDLE_TIMEOUT_S is closed. stop() lets in-flight
 requests finish and ends idle connections at once.
 """
@@ -15,15 +21,29 @@ requests finish and ends idle connections at once.
 from __future__ import annotations
 
 import logging
+import re
 import socket
+import socketserver
 import threading
+import time
 from dataclasses import dataclass, field
-from http import client as http_client_mod
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from email.utils import formatdate
+from http.client import responses
+from typing import Callable
 
 MAX_BODY_BYTES = 1 << 20
+# A 53 KB Authorization header (a token with a deeply nested payload) must
+# still reach the verifier and get its 401.
+MAX_HEAD_BYTES = 64 << 10
+MAX_HEADER_FIELDS = 100
+MAX_CONNECTIONS = 64
 IDLE_TIMEOUT_S = 30.0
+HEAD_TIMEOUT_S = 10.0
+
+_BLANK_LINE = re.compile(rb"\n\r?\n")
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2
+_LATER_VERSION = re.compile(r"HTTP/[2-9](\.[0-9])?")
+_SINGLETON_FIELDS = ("authorization", "host")  # which copy counts would be ambiguous
 
 
 class BindFailure(Exception):
@@ -40,17 +60,35 @@ class Reply:
 Route = Callable[[str, dict[str, str], bytes], Reply]
 
 
-class HttpServer(ThreadingHTTPServer):
+def _end_reading(connection: socket.socket) -> None:
+    """A handler waiting for its next request reads end-of-stream at once."""
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the peer has already gone
+
+
+def _response(reply: Reply, close: bool) -> bytes:
+    head = [f"HTTP/1.1 {reply.status} {responses.get(reply.status, '')}",
+            f"Date: {formatdate(usegmt=True)}"]
+    head += [f"{name}: {value}" for name, value in reply.headers.items()]
+    head.append(f"Content-Length: {len(reply.body)}")
+    if close:
+        head.append("Connection: close")
+    return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + reply.body
+
+
+class HttpServer(socketserver.ThreadingTCPServer):
     """A server bound at construction; start() serves it from a thread."""
 
-    daemon_threads = False  # graceful stop waits for in-flight requests
-    block_on_close = True
+    allow_reuse_address = True
 
     def __init__(self, bind_address: str, log: logging.Logger):
         self.log = log
         self.routes: dict[tuple[str, str], Route] = {}
         self.stopping = False
-        self._connections: set[socket.socket] = set()
+        # Each open connection, oldest first: True while it waits for a request.
+        self._connections: dict[socket.socket, bool] = {}
         self._connections_lock = threading.Lock()
         # Kept as given: "localhost" stays "localhost" in the URLs built on it.
         self.host, _, port = bind_address.rpartition(":")
@@ -76,31 +114,49 @@ class HttpServer(ThreadingHTTPServer):
         self._thread.start()
 
     def stop(self) -> None:
-        """Finish in-flight requests, end idle connections, close the listener."""
+        """Finish in-flight requests (their threads are joined), end idle
+        connections, close the listener."""
         self.shutdown()
         self.stopping = True
         with self._connections_lock:
             for connection in self._connections:
-                try:
-                    # A handler waiting for its next request reads
-                    # end-of-stream at once; a busy one still replies.
-                    connection.shutdown(socket.SHUT_RD)
-                except OSError:
-                    pass  # the peer has already gone
+                _end_reading(connection)  # a busy handler still replies
         self.server_close()
         self._thread.join(timeout=10)
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    def mark(self, connection: socket.socket, waiting: bool) -> bool:
+        """Record whether a connection waits for a request; False once it was ended for room."""
+        with self._connections_lock:
+            if connection in self._connections:
+                self._connections[connection] = waiting
+                return True
+            return False
+
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
+            if len(self._connections) >= MAX_CONNECTIONS:
+                # A silent or idle peer must not lock others out: end one.
+                idle = next((c for c, waiting in self._connections.items() if waiting), None)
+                if idle is not None:
+                    del self._connections[idle]
+                    _end_reading(idle)
+            full = len(self._connections) >= MAX_CONNECTIONS
+            if not full:
+                self._connections[request] = True
+        if not full:
+            super().process_request(request, client_address)
+            return
+        # Refused from the listener's thread: a server busy on every connection starts none.
+        self.log.warning("connection from %s refused: %d busy", client_address[0], MAX_CONNECTIONS)
+        request.sendall(_response(Reply(503, {"Retry-After": "1"}), close=True))
+        self.shutdown_request(request)  # should sendall raise, socketserver still closes it
 
     def shutdown_request(self, request) -> None:
         with self._connections_lock:
-            self._connections.discard(request)
+            self._connections.pop(request, None)
         super().shutdown_request(request)
 
     def handle_error(self, request, client_address) -> None:
@@ -108,92 +164,157 @@ class HttpServer(ThreadingHTTPServer):
         self.log.debug("connection error from %s", client_address, exc_info=True)
 
 
-class Handler(BaseHTTPRequestHandler):
-    """Routes each request, reads bounded bodies, sends each reply in one write."""
+class Handler(socketserver.StreamRequestHandler):
+    """Parses each request head, routes it, reads bounded bodies, replies in one write."""
 
     server: HttpServer
-    server_version = "mcpidg"
-    protocol_version = "HTTP/1.1"
     timeout = IDLE_TIMEOUT_S
-    # The reply is buffered and handle_one_request flushes it in one write.
-    # Sent as two writes, header block then body, the body waited for the
-    # client's delayed ACK of the header (Nagle's algorithm, about 40 ms per
-    # reply). No-delay covers a reply too large for the buffer.
-    wbufsize = -1
+    # A reply that follows a 100 Continue, or the tail of a large one, would
+    # otherwise wait for the peer's delayed ACK (Nagle's algorithm, ~40 ms).
     disable_nagle_algorithm = True
 
-    def log_message(self, fmt: str, *args: Any) -> None:
-        pass  # replaced by the access-log line in send()
+    def handle(self) -> None:
+        try:
+            while self._serve_one() and self.server.mark(self.connection, waiting=True):
+                pass
+        except TimeoutError:
+            pass  # idle past IDLE_TIMEOUT_S, or a request past HEAD_TIMEOUT_S
 
-    def _dispatch(self) -> None:
+    def _serve_one(self) -> bool:
+        """Read and answer one request; False once the connection is to close."""
+        self.command = self.path = "-"
+        self.close_connection = True
+        self._body_pending = False
+        head = self._read_head()
+        if head is None or not self.server.mark(self.connection, waiting=False):
+            return False
+        status = self._parse_head(head) if head else 431
+        if status:
+            self.send(Reply(status))
+            return False
         path, _, query = self.path.partition("?")
         route = self.server.routes.get((self.command, path))
         if route is None:
-            self.send(Reply(404))
-            return
-        body = b""
-        if self.command == "POST":
-            body = self.read_body()
-            if body is None:
-                return
-        headers = {k.lower(): v for k, v in self.headers.items()}
+            self.send(Reply(404 if self.command in ("GET", "POST") else 501))
+            return not self.close_connection
+        body = self.read_body() if self.command == "POST" else b""
+        if body is None:
+            return False
         try:
-            reply = route(query, headers, body)
+            reply = route(query, self.headers, body)
         except Exception:
             self.server.log.exception("unhandled server error")
             reply = Reply(500)
         self.send(reply)
+        return not self.close_connection
 
-    do_GET = do_POST = _dispatch
+    def _read_head(self) -> bytearray | None:
+        """The head through its blank line; empty past MAX_HEAD_BYTES, None at end of stream.
 
-    def parse_request(self) -> bool:
-        parsed = super().parse_request()
-        self._body_pending = parsed and (
-            "Transfer-Encoding" in self.headers
-            or self.headers.get("Content-Length", "0").strip() != "0"
+        Bytes after the head stay buffered for the body or the next request.
+        The first read may wait IDLE_TIMEOUT_S; the rest share HEAD_TIMEOUT_S.
+        """
+        if self.connection.gettimeout() != self.timeout:
+            self.connection.settimeout(self.timeout)  # shortened for the last request
+        head, self._deadline = bytearray(), None
+        while True:
+            chunk = self.rfile.peek()
+            if not chunk:
+                return None
+            self._deadline = self._deadline or time.monotonic() + HEAD_TIMEOUT_S
+            # Only the head's last two bytes can start the blank line.
+            tail = head[-2:]
+            blank = _BLANK_LINE.search(tail + chunk)
+            size = blank.end() - len(tail) if blank else len(chunk)
+            if len(head) + size > MAX_HEAD_BYTES:
+                return bytearray()
+            head += self.rfile.read(size)
+            if blank:
+                return head
+            self._wait_within_deadline()
+
+    def _wait_within_deadline(self) -> None:
+        """Let the next socket read wait only until the request's deadline."""
+        if (remaining := self._deadline - time.monotonic()) <= 0:
+            raise TimeoutError("request not complete within HEAD_TIMEOUT_S")
+        self.connection.settimeout(remaining)
+
+    def _parse_head(self, head: bytearray) -> int:
+        """Take in the request line and header fields; the error status, or 0."""
+        # Empty lines before the request line are ignored (RFC 9112 §2.2).
+        text = head.decode("latin-1").replace("\r\n", "\n").lstrip("\n")
+        if "\r" in text or "\0" in text:
+            return 400
+        request_line, *lines = text[:-2].split("\n")
+        if len(lines) > MAX_HEADER_FIELDS:
+            return 431
+        parts = request_line.split(" ")
+        if len(parts) != 3 or not _TOKEN.fullmatch(parts[0]) or not parts[1]:
+            return 400
+        self.command, target, version = parts
+        # "//host/x" could read as a scheme-relative URL: keep one "/".
+        self.path = "/" + target.lstrip("/") if target.startswith("//") else target
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            return 505 if _LATER_VERSION.fullmatch(version) else 400
+        headers: dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon or not _TOKEN.fullmatch(name):
+                return 400  # also whitespace before the colon, or obs-fold
+            name = name.lower()
+            value = value.strip(" \t")
+            if name in headers:  # joined with ", " (RFC 9110 §5.3), bar the singletons
+                if name in _SINGLETON_FIELDS:
+                    return 400
+                value = f"{headers[name]}, {value}"
+            headers[name] = value
+        self.headers, self._version = headers, version
+        # The body's framing is decided here; two Content-Length fields join to "n, m".
+        length = headers.get("content-length", "0")
+        digits = length.isascii() and length.isdigit() and len(length) < 20
+        self._length = int(length) if digits else -1
+        self._refusal = (
+            411 if "transfer-encoding" in headers  # only Content-Length framing is read
+            else 400 if self._length < 0
+            else 413 if self._length > MAX_BODY_BYTES
+            else 0
         )
-        return parsed
-
-    def handle_expect_100(self) -> bool:
-        # The interim reply must not wait in the buffer for the final one.
-        accepted = super().handle_expect_100()
-        self.wfile.flush()
-        return accepted
+        self._body_pending = bool(self._refusal or self._length)
+        connection = headers.get("connection", "").lower()
+        self.close_connection = "close" in connection or (
+            version == "HTTP/1.0" and "keep-alive" not in connection
+        )
+        return 0
 
     def read_body(self) -> bytes | None:
-        """The request body, or None once an error reply has been sent."""
-        if "Transfer-Encoding" in self.headers:
-            self.send(Reply(411))  # only Content-Length framing is read
+        """The request body, or None once the connection is to close."""
+        if self._refusal:
+            self.send(Reply(self._refusal))
             return None
-        lengths = self.headers.get_all("Content-Length", ["0"])
-        try:
-            length = int(lengths[0]) if len(lengths) == 1 else -1
-        except ValueError:
-            length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            self.send(Reply(400 if length < 0 else 413))
-            return None
+        if self.headers.get("expect", "").lower() == "100-continue" and self._version == "HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = bytearray()
+        while len(body) < self._length:
+            self._wait_within_deadline()
+            if not (chunk := self.rfile.read1(self._length - len(body))):
+                return None  # the peer stopped sending
+            body += chunk
         self._body_pending = False
-        return self.rfile.read(length)
+        return bytes(body)
 
     def send(self, reply: Reply) -> None:
         """Send one complete response and write its access-log line.
 
         The line carries the path without its query, which may hold a
         credential (RFC 6750 §5.3). It is logged before the reply is
-        flushed, so a client holding its reply can already find the line.
+        sent, so a client holding its reply can already find the line.
         A request body left unread would be parsed as the next request, so
         such a reply closes the connection, as does every reply once the
         server is stopping.
         """
         path = self.path.partition("?")[0]
-        reason = http_client_mod.responses.get(reply.status, "")
+        reason = responses.get(reply.status, "")
         self.server.log.info('"%s %s HTTP/1.1" %d %s', self.command, path, reply.status, reason)
-        self.send_response(reply.status)
-        for name, value in reply.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(reply.body)))
         if self._body_pending or self.server.stopping:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(reply.body)
+            self.close_connection = True
+        self.wfile.write(_response(reply, self.close_connection))
