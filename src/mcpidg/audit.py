@@ -5,11 +5,16 @@ written and flushed, the request that produced it must fail rather than
 complete unrecorded. "Flushed" means handed to the operating system before
 the reply is sent; records are not fsync'd, so a host crash can still lose
 the last few.
+
+The append handle stays open between records. Before each record the
+path is checked against it, so a file renamed or removed (rotation) is
+followed by a new file at the path.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -60,16 +65,45 @@ class AuditLog:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._file = None
+        self._file_id: tuple[int, int] | None = None  # (st_dev, st_ino) of the open file
+
+    def _handle(self):
+        """The open append handle, reopened when the path no longer names its file."""
+        try:
+            stat = os.stat(self.path)
+            current = (stat.st_dev, stat.st_ino) == self._file_id
+        except FileNotFoundError:
+            current = False
+        if not current:
+            self._drop()
+            self._file = open(self.path, "a", encoding="utf-8")
+            stat = os.fstat(self._file.fileno())
+            self._file_id = (stat.st_dev, stat.st_ino)
+        return self._file
+
+    def _drop(self) -> None:
+        file, self._file, self._file_id = self._file, None, None
+        if file is not None:
+            try:
+                file.close()
+            except OSError:
+                pass  # the failure was reported by the append that hit it
 
     def append(self, record: AuditRecord) -> None:
         line = record.to_json() + "\n"
         with self._lock:
             try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line)
-                    fh.flush()
+                fh = self._handle()
+                fh.write(line)
+                fh.flush()
             except OSError as exc:
+                self._drop()
                 raise AuditSinkFailure(f"cannot append to {self.path!r}: {exc}") from exc
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()
 
 
 def read_records(path: str) -> list[dict[str, Any]]:

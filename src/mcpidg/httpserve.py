@@ -28,6 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from email.utils import formatdate
+from functools import lru_cache
 from http.client import responses
 from typing import Callable
 
@@ -68,9 +69,15 @@ def _end_reading(connection: socket.socket) -> None:
         pass  # the peer has already gone
 
 
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The IMF-fixdate of a whole second, formatted once per second."""
+    return formatdate(second, usegmt=True)
+
+
 def _response(reply: Reply, close: bool) -> bytes:
     head = [f"HTTP/1.1 {reply.status} {responses.get(reply.status, '')}",
-            f"Date: {formatdate(usegmt=True)}"]
+            f"Date: {_http_date(int(time.time()))}"]
     head += [f"{name}: {value}" for name, value in reply.headers.items()]
     head.append(f"Content-Length: {len(reply.body)}")
     if close:

@@ -345,6 +345,10 @@ class ServerHandle(httpserve.HttpServer):
     def metadata_url(self) -> str:
         return self.app.metadata_url
 
+    def stop(self) -> None:
+        super().stop()
+        self.app.audit.close()  # no request is left to append
+
 
 def serve(config: ServerConfig, policy: PolicyTable, registry: ToolRegistry) -> ServerHandle:
     """Bind, resolve the externally visible resource URL, and start serving."""

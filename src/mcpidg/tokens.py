@@ -17,6 +17,7 @@ import json
 import logging
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -33,6 +34,9 @@ DEFAULT_JWKS_TTL = 300.0
 # min-time-between-jwks-requests has the same default).
 MIN_REFRESH_INTERVAL_S = 10.0
 DEFAULT_CLOCK_SKEW = 30.0
+# Tokens whose signature a JwksCache remembers (Envoy jwt_authn's default
+# jwt_cache_config size); the oldest is dropped first.
+MAX_VERIFIED_TOKENS = 100
 
 
 class TokenError(Exception):
@@ -326,6 +330,10 @@ class JwksCache:
     for a token whose kid the cached set lacks) is attempted at most once
     per MIN_REFRESH_INTERVAL_S, so forged kids cannot drive the identity
     provider; a failed one keeps the current set.
+
+    It also remembers the claims of up to MAX_VERIFIED_TOKENS tokens whose
+    signature the current set verified, and forgets them all whenever it
+    stores a new set.
     """
 
     def __init__(
@@ -344,6 +352,7 @@ class JwksCache:
         # The last failed fetch's exception; each failed fetch raises a new
         # one, so a waiter can tell whether a fetch failed while it waited.
         self._failure: Exception | None = None
+        self._verified: OrderedDict[str, tuple[JwkSet, dict[str, Any]]] = OrderedDict()
         self._lock = threading.Lock()
         self._fetch_lock = threading.Lock()
         self.hits = 0
@@ -406,7 +415,22 @@ class JwksCache:
             with self._lock:
                 self.misses += 1
                 self._entry = (jwk_set, self._clock())
+                self._verified.clear()
             return jwk_set
+
+    def recall(self, token: str) -> tuple[JwkSet, dict[str, Any]] | None:
+        """The key set that verified ``token``'s signature, and its claims."""
+        with self._lock:
+            return self._verified.get(token)
+
+    def remember(self, token: str, jwk_set: JwkSet, claims: dict[str, Any]) -> None:
+        """Record that ``jwk_set`` verified ``token``'s signature."""
+        with self._lock:
+            if self._entry is None or self._entry[0] is not jwk_set:
+                return  # replaced while the signature was checked
+            self._verified[token] = (jwk_set, claims)
+            if len(self._verified) > MAX_VERIFIED_TOKENS:
+                self._verified.popitem(last=False)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
@@ -441,15 +465,24 @@ def verify_bearer(
     that interval the token fails with UnknownKeyId without a fetch, and
     if the refresh fails it fails with JwksUnreachable, the cached keys
     kept for every other token.
+
+    A token whose signature the cache's current key set has already
+    verified is not parsed or verified again; its claims are still
+    validated on every call.
     """
     log.info("Verifying token...")
-    jwt = parse_compact(token)
-    keys = cache.get()
-    try:
-        claims = verify_signature(jwt, keys)
-    except UnknownKeyId:
-        keys = cache.get(refresh=True)
-        claims = verify_signature(jwt, keys)
+    remembered = cache.recall(token)
+    if remembered is not None and remembered[0] is cache.get():
+        claims = remembered[1]
+    else:
+        jwt = parse_compact(token)
+        keys = cache.get()
+        try:
+            claims = verify_signature(jwt, keys)
+        except UnknownKeyId:
+            keys = cache.get(refresh=True)
+            claims = verify_signature(jwt, keys)
+        cache.remember(token, keys, claims)
     identity = validate_claims(
         claims,
         expected_issuer=cache.issuer,

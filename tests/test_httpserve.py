@@ -10,6 +10,7 @@ import http.client
 import json
 import logging
 import os
+import re
 import socket
 import sys
 import threading
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import rpc
-from mcpidg import httpclient, httpserve
+from mcpidg import audit, httpclient, httpserve, tokens
 from mcpidg.audit import read_records
 from mcpidg.idp import MockIdp
 from mcpidg.server import McpApp
@@ -523,6 +524,62 @@ def test_requests_are_served_without_the_stdlib_header_parser(stack, monkeypatch
     sock, rfile = connect(stack.idp.port)
     with sock, rfile:
         kept_alive_exchange(sock, rfile, Target(stack.idp.port, discovery, ""))
+
+
+def test_warm_tool_calls_neither_verify_a_signature_nor_open_the_audit_file(
+    stack, monkeypatch
+):
+    token = stack.idp.core.issue_token_for("developer-persona")
+    call = mcp_request(f"Authorization: Bearer {token}\r\n")
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    sock, rfile = connect(stack.server.port)
+    with sock, rfile:
+        sock.sendall(call)  # warm-up: fetches the keys, verifies, opens the audit file
+        assert read_reply(rfile)[0] == 200
+        monkeypatch.setattr(tokens, "verify_signature",
+                            counted("verify_signature", tokens.verify_signature))
+        monkeypatch.setattr(audit, "open", counted("open", open), raising=False)
+        for _ in range(20):
+            sock.sendall(call)
+            status, _, body = read_reply(rfile)
+            assert (status, "result" in json.loads(body)) == (200, True)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(read_records(stack.audit_path)) == 21
+
+
+# RFC 9110 §5.6.7
+IMF_FIXDATE = re.compile(
+    r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d{2} (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)"
+    r" \d{4} \d{2}:\d{2}:\d{2} GMT"
+)
+
+
+def test_replies_within_one_second_share_one_formatted_date(target, monkeypatch):
+    formatted = []
+    real = httpserve.formatdate
+    monkeypatch.setattr(httpserve, "formatdate",
+                        lambda *args, **kwargs: formatted.append(args) or real(*args, **kwargs))
+    sock, rfile = connect(target.port)
+    with sock, rfile:
+        for _ in range(5):  # until both replies fall in one second
+            second, already = int(time.time()), len(formatted)
+            dates = []
+            for _ in range(2):
+                sock.sendall(get(target.get_path))
+                dates.append(read_reply(rfile)[1]["date"])
+            if int(time.time()) == second:
+                break
+    assert dates[0] == dates[1]
+    assert IMF_FIXDATE.fullmatch(dates[0])
+    assert len(formatted) - already <= 1
 
 
 # -- hostile heads, generated -------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 
 import pytest
 
@@ -474,6 +475,44 @@ class TestAudit:
         )
         with pytest.raises(AuditSinkFailure):
             sink.append(record)
+
+    def test_renamed_sink_is_followed_by_a_new_file(self, stack):
+        token = mint(stack, "developer-persona")
+        call = rpc("tools/call", 1, {"name": "docs_search", "arguments": {}})
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        rotated = stack.audit_path + ".1"
+        os.rename(stack.audit_path, rotated)
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        assert len(read_records(rotated)) == 1
+        assert len(read_records(stack.audit_path)) == 2
+
+    def test_removed_sink_is_recreated(self, stack):
+        token = mint(stack, "developer-persona")
+        call = rpc("tools/call", 1, {"name": "docs_search", "arguments": {}})
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        os.remove(stack.audit_path)
+        assert mcp_post(stack.mcp_url, call, token).status == 200
+        assert len(read_records(stack.audit_path)) == 1
+
+    def test_sink_reopens_after_a_failed_append(self, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        sink = AuditLog(path)
+        record = AuditRecord(
+            timestamp="2024-01-01T00:00:00+00:00", request_id="r", subject="s",
+            roles=(), scopes=(), tool="-", decision="unauthenticated",
+            deny_reason=None, validation_latency_us=0, total_latency_us=0,
+        )
+        try:
+            sink.append(record)
+            sink.path = str(tmp_path)  # a directory, not a file
+            with pytest.raises(AuditSinkFailure):
+                sink.append(record)
+            sink.path = path
+            sink.append(record)
+        finally:
+            sink.close()
+        assert len(read_records(path)) == 2
 
 
 class TestServeLifecycle:

@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 import threading
 import time
 
@@ -8,8 +9,11 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import TEST_ISSUER, TEST_RESOURCE
+from mcpidg import tokens
 from mcpidg.idp import MockIdp
 from mcpidg.tokens import (
+    DEFAULT_CLOCK_SKEW,
+    MAX_VERIFIED_TOKENS,
     EmptySubject,
     Expired,
     InsufficientScope,
@@ -606,3 +610,112 @@ class TestVerifyBearer:
         for token, expected_error in cases:
             with pytest.raises(expected_error):
                 verify_bearer(token, config, cache)
+
+
+# -- verified-token memo ----------------------------------------------------------
+
+
+@pytest.fixture
+def signature_checks(monkeypatch):
+    """The kids of the tokens verify_bearer hands to verify_signature, in order."""
+    kids = []
+    real = tokens.verify_signature
+
+    def counted(jwt, keys):
+        kids.append(jwt.kid)
+        return real(jwt, keys)
+
+    monkeypatch.setattr(tokens, "verify_signature", counted)
+    return kids
+
+
+class TestVerifiedTokenMemo:
+    def test_token_is_verified_again_after_each_new_key_set(self, signer, signature_checks):
+        clock = [0.0]
+        fetcher = CountingFetcher(signer)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: clock[0])
+        token = signer.issue_token_for("developer-persona")
+        kid = parse_compact(token).kid
+
+        def verify_twice():
+            for _ in range(2):
+                assert verify_bearer(token, make_config(), cache).subject == "developer-persona"
+
+        verify_twice()
+        assert signature_checks == [kid]
+        clock[0] = 300.0  # ttl refetch
+        verify_twice()
+        assert signature_checks == [kid, kid]
+        forged = unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for())
+        with pytest.raises(UnknownKeyId):
+            verify_bearer(forged, make_config(), cache)  # forced refresh
+        verify_twice()
+        assert [k for k in signature_checks if k == kid] == [kid, kid, kid]
+        assert fetcher.calls == 3
+
+    def test_token_whose_key_was_rotated_out_is_rejected(self):
+        core = MockIdp(issuer=TEST_ISSUER, audience=TEST_RESOURCE)
+        clock = [0.0]
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=CountingFetcher(core),
+                          clock=lambda: clock[0])
+        token = core.issue_token_for("developer-persona")
+        verify_bearer(token, make_config(), cache)
+        core.rotate_keys(retain_old=False)
+        clock[0] = 300.0
+        with pytest.raises(UnknownKeyId):
+            verify_bearer(token, make_config(), cache)
+        assert cache.recall(token) is None, "a new key set forgets every token"
+
+    def test_failed_signature_is_never_remembered(self, signer, signature_checks):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        other = signer.issue_token_for("developer-persona")
+        forged = token[: token.rindex(".")] + other[other.rindex("."):]
+        for _ in range(2):
+            with pytest.raises(SignatureInvalid):
+                verify_bearer(forged, make_config(), cache)
+        assert cache.recall(forged) is None
+        assert len(signature_checks) == 2
+
+    def test_remembered_token_still_expires(self, signer, signature_checks):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        exp = parse_compact(token).payload["exp"]
+        verify_bearer(token, make_config(), cache, now=exp)
+        with pytest.raises(Expired):
+            verify_bearer(token, make_config(), cache, now=exp + DEFAULT_CLOCK_SKEW + 1)
+        assert len(signature_checks) == 1
+
+    def test_memo_keeps_the_newest_tokens_up_to_its_bound(self, signer):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        minted = [signer.issue_token_for("developer-persona")
+                  for _ in range(MAX_VERIFIED_TOKENS + 1)]
+        for token in minted:
+            verify_bearer(token, make_config(), cache)
+        assert cache.recall(minted[0]) is None
+        assert all(cache.recall(token) is not None for token in minted[1:])
+
+    def test_concurrent_verifications_of_one_token_agree(self, signer):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        start = threading.Barrier(4)
+        identities = []
+
+        def verify():
+            start.wait(timeout=5)
+            for _ in range(50):
+                identities.append(verify_bearer(token, make_config(), cache))
+
+        threads = [threading.Thread(target=verify) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(identities) == 200
+        assert all(identity == identities[0] for identity in identities)
