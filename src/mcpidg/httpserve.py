@@ -9,7 +9,10 @@ exception escaping a route is logged and answered 500.
 The request head is parsed here (RFC 9112): a malformed or ambiguous one
 gets 400, 505 from HTTP/2 on, and 431 past MAX_HEAD_BYTES or
 MAX_HEADER_FIELDS. A body may hold at most MAX_BODY_BYTES, and a request,
-head and body, must arrive within HEAD_TIMEOUT_S of its first byte.
+head and body, must arrive within HEAD_TIMEOUT_S of its first byte. A head
+sent in pieces too small for its size (see HEAD_FREE_READS) is dropped
+unanswered, so the CPU a head costs is bounded by its bytes.
+httpclient reads reply heads with the same field parser and bounds.
 
 Connections are persistent (RFC 9112 §9.3), each served by its own
 thread. At MAX_CONNECTIONS a new connection ends the oldest one waiting
@@ -29,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from email.utils import formatdate
 from functools import lru_cache
-from http.client import responses
+from http import HTTPStatus
 from typing import Callable
 
 MAX_BODY_BYTES = 1 << 20
@@ -40,9 +43,14 @@ MAX_HEADER_FIELDS = 100
 MAX_CONNECTIONS = 64
 IDLE_TIMEOUT_S = 30.0
 HEAD_TIMEOUT_S = 10.0
+# A head may take HEAD_FREE_READS socket reads, then one more per
+# HEAD_BYTES_PER_READ bytes; one sent a byte at a time is dropped early.
+HEAD_FREE_READS = 16
+HEAD_BYTES_PER_READ = 32
 
-_BLANK_LINE = re.compile(rb"\n\r?\n")
-_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+BLANK_LINE = re.compile(rb"\n\r?\n")
+TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2
 _LATER_VERSION = re.compile(r"HTTP/[2-9](\.[0-9])?")
 _SINGLETON_FIELDS = ("authorization", "host")  # which copy counts would be ambiguous
 
@@ -61,6 +69,44 @@ class Reply:
 Route = Callable[[str, dict[str, str], bytes], Reply]
 
 
+def head_lines(head: bytes | bytearray) -> list[str] | None:
+    """A head's lines without their line endings; None for a bare CR or a NUL."""
+    # Empty lines before the start line are ignored (RFC 9112 §2.2).
+    text = head.decode("latin-1").replace("\r\n", "\n").lstrip("\n")
+    if "\r" in text or "\0" in text:
+        return None
+    return text[:-2].split("\n")
+
+
+def parse_fields(lines: list[str], singletons: tuple[str, ...] = ()) -> dict[str, str] | int:
+    """Header field lines by lower-cased name, or the status refusing them: 400 or 431.
+
+    A repeated field is joined with ", " (RFC 9110 §5.3), except that a
+    repeated name in ``singletons`` is refused.
+    """
+    if len(lines) > MAX_HEADER_FIELDS:
+        return 431
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon or not TOKEN.fullmatch(name):
+            return 400  # also whitespace before the colon, or obs-fold
+        name = name.lower()
+        value = value.strip(" \t")
+        if name in headers:
+            if name in singletons:
+                return 400
+            value = f"{headers[name]}, {value}"
+        headers[name] = value
+    return headers
+
+
+def closes_connection(version: str, headers: dict[str, str]) -> bool:
+    """Whether a message ends its connection (RFC 9112 §9.3)."""
+    connection = headers.get("connection", "").lower()
+    return "close" in connection or (version == "HTTP/1.0" and "keep-alive" not in connection)
+
+
 def _end_reading(connection: socket.socket) -> None:
     """A handler waiting for its next request reads end-of-stream at once."""
     try:
@@ -76,7 +122,7 @@ def _http_date(second: int) -> str:
 
 
 def _response(reply: Reply, close: bool) -> bytes:
-    head = [f"HTTP/1.1 {reply.status} {responses.get(reply.status, '')}",
+    head = [f"HTTP/1.1 {reply.status} {_REASONS.get(reply.status, '')}",
             f"Date: {_http_date(int(time.time()))}"]
     head += [f"{name}: {value}" for name, value in reply.headers.items()]
     head.append(f"Content-Length: {len(reply.body)}")
@@ -216,22 +262,26 @@ class Handler(socketserver.StreamRequestHandler):
         return not self.close_connection
 
     def _read_head(self) -> bytearray | None:
-        """The head through its blank line; empty past MAX_HEAD_BYTES, None at end of stream.
+        """The head through its blank line; empty past MAX_HEAD_BYTES, None at end
+        of stream or once the head has taken more reads than its bytes allow.
 
         Bytes after the head stay buffered for the body or the next request.
         The first read may wait IDLE_TIMEOUT_S; the rest share HEAD_TIMEOUT_S.
         """
         if self.connection.gettimeout() != self.timeout:
             self.connection.settimeout(self.timeout)  # shortened for the last request
-        head, self._deadline = bytearray(), None
+        head, self._deadline, reads = bytearray(), None, 0
         while True:
             chunk = self.rfile.peek()
             if not chunk:
                 return None
+            reads += 1
+            if reads > HEAD_FREE_READS + (len(head) + len(chunk)) // HEAD_BYTES_PER_READ:
+                return None
             self._deadline = self._deadline or time.monotonic() + HEAD_TIMEOUT_S
             # Only the head's last two bytes can start the blank line.
             tail = head[-2:]
-            blank = _BLANK_LINE.search(tail + chunk)
+            blank = BLANK_LINE.search(tail + chunk)
             size = blank.end() - len(tail) if blank else len(chunk)
             if len(head) + size > MAX_HEAD_BYTES:
                 return bytearray()
@@ -248,33 +298,20 @@ class Handler(socketserver.StreamRequestHandler):
 
     def _parse_head(self, head: bytearray) -> int:
         """Take in the request line and header fields; the error status, or 0."""
-        # Empty lines before the request line are ignored (RFC 9112 §2.2).
-        text = head.decode("latin-1").replace("\r\n", "\n").lstrip("\n")
-        if "\r" in text or "\0" in text:
+        lines = head_lines(head)
+        if lines is None:
             return 400
-        request_line, *lines = text[:-2].split("\n")
-        if len(lines) > MAX_HEADER_FIELDS:
-            return 431
-        parts = request_line.split(" ")
-        if len(parts) != 3 or not _TOKEN.fullmatch(parts[0]) or not parts[1]:
+        parts = lines[0].split(" ")
+        if len(parts) != 3 or not TOKEN.fullmatch(parts[0]) or not parts[1]:
             return 400
         self.command, target, version = parts
         # "//host/x" could read as a scheme-relative URL: keep one "/".
         self.path = "/" + target.lstrip("/") if target.startswith("//") else target
         if version not in ("HTTP/1.1", "HTTP/1.0"):
             return 505 if _LATER_VERSION.fullmatch(version) else 400
-        headers: dict[str, str] = {}
-        for line in lines:
-            name, colon, value = line.partition(":")
-            if not colon or not _TOKEN.fullmatch(name):
-                return 400  # also whitespace before the colon, or obs-fold
-            name = name.lower()
-            value = value.strip(" \t")
-            if name in headers:  # joined with ", " (RFC 9110 §5.3), bar the singletons
-                if name in _SINGLETON_FIELDS:
-                    return 400
-                value = f"{headers[name]}, {value}"
-            headers[name] = value
+        headers = parse_fields(lines[1:], _SINGLETON_FIELDS)
+        if isinstance(headers, int):
+            return headers
         self.headers, self._version = headers, version
         # The body's framing is decided here; two Content-Length fields join to "n, m".
         length = headers.get("content-length", "0")
@@ -287,10 +324,7 @@ class Handler(socketserver.StreamRequestHandler):
             else 0
         )
         self._body_pending = bool(self._refusal or self._length)
-        connection = headers.get("connection", "").lower()
-        self.close_connection = "close" in connection or (
-            version == "HTTP/1.0" and "keep-alive" not in connection
-        )
+        self.close_connection = closes_connection(version, headers)
         return 0
 
     def read_body(self) -> bytes | None:
@@ -320,7 +354,7 @@ class Handler(socketserver.StreamRequestHandler):
         server is stopping.
         """
         path = self.path.partition("?")[0]
-        reason = responses.get(reply.status, "")
+        reason = _REASONS.get(reply.status, "")
         self.server.log.info('"%s %s HTTP/1.1" %d %s', self.command, path, reply.status, reason)
         if self._body_pending or self.server.stopping:
             self.close_connection = True

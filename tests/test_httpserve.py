@@ -219,16 +219,16 @@ def test_idle_connection_closed_after_the_timeout(monkeypatch, stack):
 
 @pytest.fixture
 def connects(monkeypatch) -> list[int]:
-    """Counts the TCP connections http.client opens."""
-    opened: list[int] = []
-    real_connect = http.client.HTTPConnection.connect
+    """The server port of each TCP connection the servers accept."""
+    accepted: list[int] = []
+    real_process_request = httpserve.HttpServer.process_request
 
-    def connect(self):
-        opened.append(self.port)
-        real_connect(self)
+    def process_request(self, request, client_address):
+        accepted.append(self.port)
+        real_process_request(self, request, client_address)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
-    return opened
+    monkeypatch.setattr(httpserve.HttpServer, "process_request", process_request)
+    return accepted
 
 
 def test_client_reuses_one_connection_per_origin(stack, connects):
@@ -393,6 +393,33 @@ def test_large_head_trickled_in_small_pieces_is_answered_at_once(target):
         assert time.monotonic() - sent < 0.5
 
 
+def test_head_sent_a_byte_per_write_is_dropped_within_reads_bounded_by_its_bytes(
+    monkeypatch, target
+):
+    searches = []
+    blank_line = httpserve.BLANK_LINE
+
+    class CountingSearch:
+        def search(self, *args):
+            searches.append(args)
+            return blank_line.search(*args)
+
+    monkeypatch.setattr(httpserve, "BLANK_LINE", CountingSearch())
+    request = get(target.get_path).replace(b"Host: t", b"X-Pad: " + b"x" * 1000)
+    sock, rfile = connect(target.port)
+    with sock, rfile:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for byte in request:
+                sock.sendall(bytes([byte]))
+                time.sleep(0.0005)  # lets the server read each byte on its own
+            reply = read_reply(rfile)
+        except ConnectionError:
+            reply = None
+    assert reply is None
+    assert len(searches) <= httpserve.HEAD_FREE_READS + len(request) // httpserve.HEAD_BYTES_PER_READ
+
+
 def test_two_pipelined_requests_get_two_replies_in_order(target):
     body = b"grant_type=none"
     first = (
@@ -509,7 +536,7 @@ def test_requests_are_served_without_the_stdlib_header_parser(stack, monkeypatch
     metadata = "/.well-known/oauth-protected-resource"
     sock, rfile = connect(stack.server.port)
     with sock, rfile:
-        sock.sendall(call)  # fetches the keys through http.client, which needs the parser
+        sock.sendall(call)  # the first call also fetches the keys through httpclient
         assert read_reply(rfile)[0] == 200
 
         def no_parser(*args, **kwargs):
