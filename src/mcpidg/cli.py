@@ -137,16 +137,15 @@ def cmd_serve_mcp(args: argparse.Namespace) -> int:
         required_scopes=args.required_scopes,
         jwks_ttl=args.jwks_ttl,
         audit_sink=args.audit,
-        policy_path=args.policy,
     )
     registry = default_registry()
     try:
-        if config.policy_path:
-            policy = load_policy_file(config.policy_path, registry)
+        if args.policy:
+            policy = load_policy_file(args.policy, registry)
         else:
             policy = default_policy(registry)
     except (OSError, PolicyError) as exc:
-        log.error("cannot load policy %r: %s", config.policy_path, exc)
+        log.error("cannot load policy %r: %s", args.policy, exc)
         return EXIT_INFRASTRUCTURE
     try:
         handle = serve(config, policy, registry)

@@ -8,11 +8,12 @@ next request to that origin on it. If a kept connection turns out closed
 before any reply, the request is sent once more on a new one.
 
 Each request, head and body, goes out in one write. ``timeout`` bounds the
-whole exchange: connect, send and the reply, head and body. The reply head
-is parsed by httpserve's field parser within MAX_HEAD_BYTES and
-MAX_HEADER_FIELDS, and its body is framed as RFC 9112 §6.3 says (none,
-chunked, Content-Length or to the close) within MAX_BODY_BYTES. A reply
-past a bound, malformed or late raises OSError, as a transport error does.
+whole exchange: connect, send and the reply, head and body. The reply is
+read through httpserve.Stream, so its head has the server's bounds:
+MAX_HEAD_BYTES, MAX_HEADER_FIELDS and the reads its bytes allow. Its body
+is framed as RFC 9112 §6.3 says (none, chunked, Content-Length or to the
+close) within MAX_BODY_BYTES. A reply past a bound, malformed or late
+raises OSError, as a transport error does.
 """
 
 from __future__ import annotations
@@ -27,18 +28,18 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from .httpserve import (
-    BLANK_LINE,
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     TOKEN,
+    Stream,
     closes_connection,
     head_lines,
     parse_fields,
+    remaining,
 )
 
 MAX_KEPT_PER_THREAD = 8
 
-_RECEIVE_BYTES = 64 << 10
 _UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")  # would split or end the request line
 _UNSAFE_VALUE = re.compile(r"[\r\n\0]")  # would start another field
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,8}")
@@ -58,45 +59,6 @@ class HttpReply:
         return json.loads(self.body.decode("utf-8"))
 
 
-class _Connection:
-    """A socket and the bytes received on it that no reply has consumed yet."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buffer = bytearray()
-
-    def close(self) -> None:
-        self.sock.close()
-
-    def receive(self, deadline: float) -> bool:
-        """Append what arrives next, waiting until the deadline; False at end of stream."""
-        self.sock.settimeout(_remaining(deadline))
-        chunk = self.sock.recv(_RECEIVE_BYTES)
-        self.buffer += chunk
-        return bool(chunk)
-
-    def receive_until(self, size: int, deadline: float) -> None:
-        """Receive until at least ``size`` bytes are buffered."""
-        while len(self.buffer) < size:
-            if not self.receive(deadline):
-                raise OSError("connection closed inside the reply")
-
-    def take(self, size: int) -> bytes:
-        data = bytes(self.buffer[:size])
-        del self.buffer[:size]
-        return data
-
-    def line(self, deadline: float) -> bytes:
-        """The next line without its line ending, at most MAX_HEAD_BYTES long."""
-        searched = 0
-        while (end := self.buffer.find(b"\n", searched)) < 0:
-            if len(self.buffer) > MAX_HEAD_BYTES:
-                raise OSError("reply line over MAX_HEAD_BYTES")
-            searched = len(self.buffer)
-            self.receive_until(searched + 1, deadline)
-        return self.take(end + 1)[:-1].removesuffix(b"\r")
-
-
 class _KeptConnections(dict):
     """One thread's idle connections, oldest use first."""
 
@@ -108,26 +70,19 @@ class _KeptConnections(dict):
 _local = threading.local()
 
 
-def _remaining(deadline: float) -> float:
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise TimeoutError("request not complete within its timeout")
-    return remaining
-
-
-def _connect(scheme: str, host: str, port: int | None, deadline: float) -> _Connection:
+def _connect(scheme: str, host: str, port: int | None, deadline: float) -> Stream:
     port = port or (443 if scheme == "https" else 80)
-    sock = socket.create_connection((host, port), timeout=_remaining(deadline))
+    sock = socket.create_connection((host, port), timeout=remaining(deadline))
     try:
         # A request longer than one segment must not wait for a delayed ACK.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if scheme == "https":
-            sock.settimeout(_remaining(deadline))
+            sock.settimeout(remaining(deadline))
             sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
     except BaseException:
         sock.close()
         raise
-    return _Connection(sock)
+    return Stream(sock)
 
 
 def _request_bytes(
@@ -148,25 +103,20 @@ def _request_bytes(
         raise OSError(f"cannot send the request head: {exc}") from exc
 
 
-def _send(conn: _Connection, message: bytes, deadline: float) -> None:
+def _send(conn: Stream, message: bytes, deadline: float) -> None:
     """Send the request and wait for the first byte of its reply."""
-    conn.sock.settimeout(_remaining(deadline))
+    conn.sock.settimeout(remaining(deadline))
     conn.sock.sendall(message)
     if not conn.receive(deadline):
         raise ConnectionResetError("connection closed before any reply")
 
 
-def _read_head(conn: _Connection, deadline: float) -> tuple[str, int, str, dict[str, str]]:
+def _read_head(conn: Stream, deadline: float) -> tuple[str, int, str, dict[str, str]]:
     """The next reply head: its version, status, reason and header fields."""
-    searched = 0
-    while (blank := BLANK_LINE.search(conn.buffer, max(searched - 2, 0))) is None:
-        if len(conn.buffer) > MAX_HEAD_BYTES:
-            raise OSError("reply head over MAX_HEAD_BYTES")
-        searched = len(conn.buffer)
-        conn.receive_until(searched + 1, deadline)
-    if blank.end() > MAX_HEAD_BYTES:
+    head = conn.head(deadline)
+    if head is None:
         raise OSError("reply head over MAX_HEAD_BYTES")
-    lines = head_lines(conn.take(blank.end()))
+    lines = head_lines(head)
     if lines is None:
         raise OSError("reply head holds a bare CR or a NUL")
     version, _, rest = lines[0].partition(" ")
@@ -188,11 +138,22 @@ def _content_length(value: str) -> int:
     return int(length)
 
 
-def _read_chunked(conn: _Connection, deadline: float) -> bytes:
+def _line(conn: Stream, deadline: float) -> bytes:
+    """The next line without its line ending, at most MAX_HEAD_BYTES long."""
+    searched = 0
+    while (end := conn.buffer.find(b"\n", searched)) < 0:
+        if len(conn.buffer) > MAX_HEAD_BYTES:
+            raise OSError("reply line over MAX_HEAD_BYTES")
+        searched = len(conn.buffer)
+        conn.receive_until(searched + 1, deadline)
+    return conn.take(end + 1)[:-1].removesuffix(b"\r")
+
+
+def _read_chunked(conn: Stream, deadline: float) -> bytes:
     """A chunked body (RFC 9112 §7.1); extensions and trailer fields are skipped."""
     body = bytearray()
     while True:
-        size_text = conn.line(deadline).partition(b";")[0].rstrip(b" \t")
+        size_text = _line(conn, deadline).partition(b";")[0].rstrip(b" \t")
         if not _CHUNK_SIZE.fullmatch(size_text):
             raise OSError(f"bad chunk size {size_text[:80]!r}")
         size = int(size_text, 16)
@@ -202,24 +163,24 @@ def _read_chunked(conn: _Connection, deadline: float) -> bytes:
             raise OSError("reply body over MAX_BODY_BYTES")
         conn.receive_until(size, deadline)
         body += conn.take(size)
-        if conn.line(deadline):
+        if _line(conn, deadline):
             raise OSError("chunk data longer than its size")
     trailer = 0
-    while line := conn.line(deadline):
+    while line := _line(conn, deadline):
         trailer += len(line)
         if trailer > MAX_HEAD_BYTES:
             raise OSError("reply trailer over MAX_HEAD_BYTES")
     return bytes(body)
 
 
-def _read_to_close(conn: _Connection, deadline: float) -> bytes:
+def _read_to_close(conn: Stream, deadline: float) -> bytes:
     while len(conn.buffer) <= MAX_BODY_BYTES:
         if not conn.receive(deadline):
             return conn.take(len(conn.buffer))
     raise OSError("reply body over MAX_BODY_BYTES")
 
 
-def _read_reply(conn: _Connection, method: str, deadline: float) -> tuple[HttpReply, bool]:
+def _read_reply(conn: Stream, method: str, deadline: float) -> tuple[HttpReply, bool]:
     """The final reply to a request, and whether its connection may be kept (RFC 9112 §6.3)."""
     version, status, reason, headers = _read_head(conn, deadline)
     while 100 <= status < 200:  # interim replies, such as 103 Early Hints

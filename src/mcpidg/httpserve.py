@@ -12,7 +12,8 @@ MAX_HEADER_FIELDS. A body may hold at most MAX_BODY_BYTES, and a request,
 head and body, must arrive within HEAD_TIMEOUT_S of its first byte. A head
 sent in pieces too small for its size (see HEAD_FREE_READS) is dropped
 unanswered, so the CPU a head costs is bounded by its bytes.
-httpclient reads reply heads with the same field parser and bounds.
+httpclient reads replies through the same Stream, so reply heads get the
+same field parser and bounds.
 
 Connections are persistent (RFC 9112 §9.3), each served by its own
 thread. At MAX_CONNECTIONS a new connection ends the oldest one waiting
@@ -48,6 +49,7 @@ HEAD_TIMEOUT_S = 10.0
 HEAD_FREE_READS = 16
 HEAD_BYTES_PER_READ = 32
 
+_RECEIVE_BYTES = 64 << 10
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 BLANK_LINE = re.compile(rb"\n\r?\n")
 TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2
@@ -67,6 +69,66 @@ class Reply:
 
 
 Route = Callable[[str, dict[str, str], bytes], Reply]
+
+
+def remaining(deadline: float) -> float:
+    """The seconds left until a time.monotonic() deadline; TimeoutError once none are."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("message not complete within its deadline")
+    return left
+
+
+class Stream:
+    """A socket and the bytes received on it that nothing has consumed yet.
+
+    Both directions read through one: the server its requests, httpclient
+    its replies. Every wait ends at the deadline it is given.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = bytearray()
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def receive(self, deadline: float) -> bool:
+        """Append what arrives next, waiting until the deadline; False at end of stream."""
+        self.sock.settimeout(remaining(deadline))
+        chunk = self.sock.recv(_RECEIVE_BYTES)
+        self.buffer += chunk
+        return bool(chunk)
+
+    def receive_until(self, size: int, deadline: float) -> None:
+        """Receive until at least ``size`` bytes are buffered."""
+        while len(self.buffer) < size:
+            if not self.receive(deadline):
+                raise OSError("connection closed inside a message")
+
+    def take(self, size: int) -> bytes:
+        data = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        return data
+
+    def head(self, deadline: float) -> bytes | None:
+        """The next head through its blank line; None past MAX_HEAD_BYTES.
+
+        OSError at end of stream, and once the head has taken more reads
+        than its bytes allow: HEAD_FREE_READS, then one per
+        HEAD_BYTES_PER_READ. So a head sent a byte at a time costs little CPU.
+        """
+        searched = reads = 0
+        # Only the last two bytes searched can start the blank line.
+        while (blank := BLANK_LINE.search(self.buffer, max(searched - 2, 0))) is None:
+            if len(self.buffer) > MAX_HEAD_BYTES:
+                return None
+            searched, reads = len(self.buffer), reads + 1
+            if not self.receive(deadline):
+                raise OSError("connection closed inside a head")
+            if reads > HEAD_FREE_READS + len(self.buffer) // HEAD_BYTES_PER_READ:
+                raise OSError("head sent in pieces too small for its size")
+        return None if blank.end() > MAX_HEAD_BYTES else self.take(blank.end())
 
 
 def head_lines(head: bytes | bytearray) -> list[str] | None:
@@ -213,35 +275,41 @@ class HttpServer(socketserver.ThreadingTCPServer):
         super().shutdown_request(request)
 
     def handle_error(self, request, client_address) -> None:
-        # Client disconnects mid-response are routine, not tracebacks.
+        # A peer that went before its handler started is routine, not a traceback.
         self.log.debug("connection error from %s", client_address, exc_info=True)
 
 
-class Handler(socketserver.StreamRequestHandler):
+class Handler(socketserver.BaseRequestHandler):
     """Parses each request head, routes it, reads bounded bodies, replies in one write."""
 
     server: HttpServer
     timeout = IDLE_TIMEOUT_S
-    # A reply that follows a 100 Continue, or the tail of a large one, would
-    # otherwise wait for the peer's delayed ACK (Nagle's algorithm, ~40 ms).
-    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        # A reply that follows a 100 Continue, or the tail of a large one, would
+        # otherwise wait for the peer's delayed ACK (Nagle's algorithm, ~40 ms).
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.stream = Stream(self.request)  # keeps pipelined bytes for the next request
 
     def handle(self) -> None:
         try:
-            while self._serve_one() and self.server.mark(self.connection, waiting=True):
+            while self._serve_one() and self.server.mark(self.request, waiting=True):
                 pass
-        except TimeoutError:
-            pass  # idle past IDLE_TIMEOUT_S, or a request past HEAD_TIMEOUT_S
+        except OSError:
+            pass  # the peer went, sent nothing for IDLE_TIMEOUT_S, or broke a request's bounds
 
     def _serve_one(self) -> bool:
         """Read and answer one request; False once the connection is to close."""
         self.command = self.path = "-"
         self.close_connection = True
         self._body_pending = False
-        head = self._read_head()
-        if head is None or not self.server.mark(self.connection, waiting=False):
+        if not self.stream.buffer and not self.stream.receive(time.monotonic() + self.timeout):
             return False
-        status = self._parse_head(head) if head else 431
+        self._deadline = time.monotonic() + HEAD_TIMEOUT_S  # from the request's first byte
+        head = self.stream.head(self._deadline)
+        if not self.server.mark(self.request, waiting=False):
+            return False
+        status = self._parse_head(head) if head is not None else 431
         if status:
             self.send(Reply(status))
             return False
@@ -260,41 +328,6 @@ class Handler(socketserver.StreamRequestHandler):
             reply = Reply(500)
         self.send(reply)
         return not self.close_connection
-
-    def _read_head(self) -> bytearray | None:
-        """The head through its blank line; empty past MAX_HEAD_BYTES, None at end
-        of stream or once the head has taken more reads than its bytes allow.
-
-        Bytes after the head stay buffered for the body or the next request.
-        The first read may wait IDLE_TIMEOUT_S; the rest share HEAD_TIMEOUT_S.
-        """
-        if self.connection.gettimeout() != self.timeout:
-            self.connection.settimeout(self.timeout)  # shortened for the last request
-        head, self._deadline, reads = bytearray(), None, 0
-        while True:
-            chunk = self.rfile.peek()
-            if not chunk:
-                return None
-            reads += 1
-            if reads > HEAD_FREE_READS + (len(head) + len(chunk)) // HEAD_BYTES_PER_READ:
-                return None
-            self._deadline = self._deadline or time.monotonic() + HEAD_TIMEOUT_S
-            # Only the head's last two bytes can start the blank line.
-            tail = head[-2:]
-            blank = BLANK_LINE.search(tail + chunk)
-            size = blank.end() - len(tail) if blank else len(chunk)
-            if len(head) + size > MAX_HEAD_BYTES:
-                return bytearray()
-            head += self.rfile.read(size)
-            if blank:
-                return head
-            self._wait_within_deadline()
-
-    def _wait_within_deadline(self) -> None:
-        """Let the next socket read wait only until the request's deadline."""
-        if (remaining := self._deadline - time.monotonic()) <= 0:
-            raise TimeoutError("request not complete within HEAD_TIMEOUT_S")
-        self.connection.settimeout(remaining)
 
     def _parse_head(self, head: bytearray) -> int:
         """Take in the request line and header fields; the error status, or 0."""
@@ -333,15 +366,10 @@ class Handler(socketserver.StreamRequestHandler):
             self.send(Reply(self._refusal))
             return None
         if self.headers.get("expect", "").lower() == "100-continue" and self._version == "HTTP/1.1":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = bytearray()
-        while len(body) < self._length:
-            self._wait_within_deadline()
-            if not (chunk := self.rfile.read1(self._length - len(body))):
-                return None  # the peer stopped sending
-            body += chunk
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.stream.receive_until(self._length, self._deadline)
         self._body_pending = False
-        return bytes(body)
+        return self.stream.take(self._length)
 
     def send(self, reply: Reply) -> None:
         """Send one complete response and write its access-log line.
@@ -358,4 +386,4 @@ class Handler(socketserver.StreamRequestHandler):
         self.server.log.info('"%s %s HTTP/1.1" %d %s', self.command, path, reply.status, reason)
         if self._body_pending or self.server.stopping:
             self.close_connection = True
-        self.wfile.write(_response(reply, self.close_connection))
+        self.request.sendall(_response(reply, self.close_connection))

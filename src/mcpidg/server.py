@@ -67,7 +67,6 @@ class ServerConfig:
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
     jwks_ttl: float = DEFAULT_JWKS_TTL
     audit_sink: str = "audit.jsonl"
-    policy_path: str | None = None
 
 
 def metadata_document(config: ServerConfig) -> ProtectedResourceMetadata:

@@ -92,9 +92,14 @@ class EmptySubject(TokenError):
 def _b64url_decode(segment: str) -> bytes:
     pad = "=" * (-len(segment) % 4)
     try:
-        return base64.urlsafe_b64decode(segment + pad)
+        raw = base64.urlsafe_b64decode(segment + pad)
     except (binascii.Error, ValueError) as exc:
         raise MalformedToken(f"invalid base64url segment: {exc}") from exc
+    # The decoder skips stray characters and ignores unused low bits; without
+    # this check one signature would verify under several token strings.
+    if b64url_encode(raw) != segment:
+        raise MalformedToken("base64url segment not in its one canonical form (RFC 4648 §3.5)")
+    return raw
 
 
 def b64url_encode(raw: bytes) -> str:

@@ -133,6 +133,24 @@ def test_reply_body_over_the_cap_raises(pieces, keep):
         assert time.monotonic() - started < 1.0
 
 
+class _NoDelayScriptHandler(_ScriptHandler):
+    disable_nagle_algorithm = True  # each write leaves as its own segment
+
+
+def test_reply_head_sent_a_byte_per_write_raises_well_inside_the_timeout():
+    head = b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * 1000 + b"\r\nContent-Length: 2\r\n\r\n"
+    trickle = []
+    for byte in head + b"ok":
+        trickle += [bytes([byte]), 0.0005]  # lets the client read each byte on its own
+    with RawServer(scripted(*trickle)) as server:
+        server.RequestHandlerClass = _NoDelayScriptHandler
+        started = time.monotonic()
+        with pytest.raises(OSError) as raised:
+            httpclient.get(server.url, timeout=5.0)
+        assert not isinstance(raised.value, TimeoutError)
+        assert time.monotonic() - started < 1.0
+
+
 def test_trickling_key_endpoint_holds_no_caller_past_the_two_fetch_timeouts():
     def answer(head: bytes):
         if head.startswith(b"GET /.well-known/openid-configuration "):

@@ -380,6 +380,15 @@ def test_request_trickled_past_its_deadline_is_closed(monkeypatch, target, start
         assert time.monotonic() - started < 2.0
 
 
+def test_request_deadline_starts_at_its_first_byte_not_at_the_idle_wait(monkeypatch, target):
+    monkeypatch.setattr(httpserve, "HEAD_TIMEOUT_S", 0.2)
+    sock, rfile = connect(target.port)
+    with sock, rfile:
+        kept_alive_exchange(sock, rfile, target)
+        time.sleep(0.5)  # idle past HEAD_TIMEOUT_S, well inside the idle timeout
+        kept_alive_exchange(sock, rfile, target)
+
+
 def test_large_head_trickled_in_small_pieces_is_answered_at_once(target):
     request = get(target.get_path).replace(b"Host: t", b"X-Pad: " + b"x" * (48 << 10))
     sock, rfile = connect(target.port)

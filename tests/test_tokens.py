@@ -109,6 +109,13 @@ class TestParseCompact:
         with pytest.raises(MalformedToken):
             parse_compact("!!!.###.$$$")
 
+    @pytest.mark.parametrize("signature", ["-_9", "-_8=", "+_8", "-/8", "-_8!"])
+    def test_segment_not_in_canonical_base64url_rejected(self, signature):
+        head, body, _ = unsigned_token({"alg": "RS256", "kid": "k"}, {"sub": "alice"}).split(".")
+        assert parse_compact(f"{head}.{body}.-_8").signature == b"\xfb\xff"
+        with pytest.raises(MalformedToken):  # the first four decode to the same bytes
+            parse_compact(f"{head}.{body}.{signature}")
+
     def test_non_json_header_rejected(self):
         head = b64url_encode(b"not json")
         with pytest.raises(MalformedToken):
