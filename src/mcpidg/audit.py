@@ -1,10 +1,11 @@
-"""Append-only audit trail of authorization decisions.
+"""Append-only JSON Lines sink for the authorization audit trail.
 
-One JSON line per record. The sink is fail-closed: if a record cannot be
-written and flushed, the request that produced it must fail rather than
-complete unrecorded. "Flushed" means handed to the operating system before
-the reply is sent; records are not fsync'd, so a host crash can still lose
-the last few.
+The sink knows no record schema: the server builds each record, and the
+sink writes it as one compact JSON line, its keys in the order given. It
+is fail-closed: if a record cannot be written and flushed, the request
+that produced it must fail rather than complete unrecorded. "Flushed"
+means handed to the operating system before the reply is sent; records
+are not fsync'd, so a host crash can still lose the last few.
 
 The append handle stays open between records. Before each record the
 path is checked against it, so a file renamed or removed (rotation) is
@@ -16,47 +17,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Any
 
 
 class AuditSinkFailure(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    timestamp: str  # RFC 3339 UTC
-    request_id: str
-    subject: str  # unmasked; console logs carry the masked form
-    roles: tuple[str, ...]
-    scopes: tuple[str, ...]
-    tool: str  # "-" for non-tool requests
-    decision: str  # "unauthenticated" | "allow" | "deny"
-    deny_reason: dict[str, Any] | None
-    validation_latency_us: int
-    total_latency_us: int
-
-    def to_json(self) -> str:
-        doc: dict[str, Any] = {
-            "timestamp": self.timestamp,
-            "request_id": self.request_id,
-            "subject": self.subject,
-            "roles": list(self.roles),
-            "scopes": list(self.scopes),
-            "tool": self.tool,
-            "decision": self.decision,
-        }
-        if self.deny_reason is not None:
-            doc["deny_reason"] = self.deny_reason
-        doc["validation_latency_us"] = self.validation_latency_us
-        doc["total_latency_us"] = self.total_latency_us
-        return json.dumps(doc, separators=(",", ":"))
-
-
-def utc_timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 class AuditLog:
@@ -90,8 +55,8 @@ class AuditLog:
             except OSError:
                 pass  # the failure was reported by the append that hit it
 
-    def append(self, record: AuditRecord) -> None:
-        line = record.to_json() + "\n"
+    def append(self, record: dict[str, Any]) -> None:
+        line = json.dumps(record, separators=(",", ":")) + "\n"
         with self._lock:
             try:
                 fh = self._handle()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import secrets
 import time
 import uuid
@@ -25,6 +26,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from . import httpclient, protocol
+from .httpserve import TOKEN
 from .idp import DEFAULT_CLIENT_ID, DEFAULT_REDIRECT_URI, s256_challenge
 from .tokenstore import TokenStore
 
@@ -115,8 +117,7 @@ class FlowTranscript:
 @dataclass(frozen=True)
 class PkcePair:
     verifier: str
-    challenge: str
-    method: str = "S256"
+    challenge: str  # S256 of the verifier
 
 
 def generate_pkce() -> PkcePair:
@@ -125,18 +126,32 @@ def generate_pkce() -> PkcePair:
     return PkcePair(verifier=verifier, challenge=s256_challenge(verifier))
 
 
+# One auth-param of a list (RFC 9110 §11.2 and §5.6.1): token BWS "=" BWS
+# ( token / quoted-string ), then a comma or the end.
+_AUTH_PARAM = re.compile(
+    rf'[ \t,]*({TOKEN.pattern})[ \t]*=[ \t]*(?:({TOKEN.pattern})|"((?:[^"\\]|\\.)*)")'
+    r"[ \t]*(?=,|\Z)"
+)
+
+
 def parse_www_authenticate(value: str) -> dict[str, str]:
-    """Parse `Bearer k="v", ...` into its parameters."""
+    """Parse `Bearer k="v", ...` into its parameters, names lower-cased.
+
+    A quoted value may hold commas and backslash quoted-pairs. Raises
+    AuthFlowError for another scheme or a malformed parameter list.
+    """
     scheme, _, rest = value.partition(" ")
     if scheme.lower() != "bearer":
         raise AuthFlowError(f"unexpected challenge scheme {scheme!r}")
     params: dict[str, str] = {}
-    for part in rest.split(","):
-        part = part.strip()
-        if not part or "=" not in part:
-            continue
-        key, _, raw = part.partition("=")
-        params[key.strip()] = raw.strip().strip('"')
+    rest, position = rest.rstrip(" \t,"), 0
+    while position < len(rest):
+        match = _AUTH_PARAM.match(rest, position)
+        if match is None:
+            raise AuthFlowError(f"malformed challenge parameters {rest[position:][:80]!r}")
+        name, token, quoted = match.groups()
+        params[name.lower()] = token if quoted is None else re.sub(r"\\(.)", r"\1", quoted)
+        position = match.end()
     return params
 
 
@@ -209,7 +224,7 @@ def acquire_token(
             "scope": " ".join(sorted(scopes)),
             "state": state,
             "code_challenge": pkce.challenge,
-            "code_challenge_method": pkce.method,
+            "code_challenge_method": "S256",
             "username": persona,
         }
     )
@@ -307,10 +322,7 @@ class _StepTimer:
 def run_sequence(
     mcp_url: str,
     persona: str,
-    client_id: str = DEFAULT_CLIENT_ID,
-    redirect_uri: str = DEFAULT_REDIRECT_URI,
     tool: str = "docs_search",
-    scopes: frozenset[str] = DEFAULT_REQUEST_SCOPES,
     token_store: TokenStore | None = None,
     bearer_mode: str = "header",
 ) -> FlowTranscript:
@@ -330,9 +342,7 @@ def run_sequence(
     if cached is not None:
         token = cached.access_token
     else:
-        token = _cold_start(
-            transcript, mcp_url, persona, client_id, redirect_uri, scopes, token_store, fail
-        )
+        token = _cold_start(transcript, mcp_url, persona, token_store, fail)
 
     def post(request: protocol.RpcRequest) -> httpclient.HttpReply:
         try:
@@ -402,9 +412,6 @@ def _cold_start(
     transcript: FlowTranscript,
     mcp_url: str,
     persona: str,
-    client_id: str,
-    redirect_uri: str,
-    scopes: frozenset[str],
     token_store: TokenStore | None,
     fail,
 ) -> str:
@@ -486,9 +493,7 @@ def _cold_start(
             discovery = discover_oidc(issuer)
             # acquire_token runs authorize (7) and token (8-9) together;
             # any provider rejection surfaces here.
-            token_response = acquire_token(
-                discovery, persona, pkce, scopes, client_id, redirect_uri
-            )
+            token_response = acquire_token(discovery, persona, pkce, DEFAULT_REQUEST_SCOPES)
         except AuthFlowError as exc:
             raise fail(7, str(exc))
     transcript.add(

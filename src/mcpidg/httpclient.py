@@ -33,6 +33,7 @@ from .httpserve import (
     TOKEN,
     Stream,
     closes_connection,
+    content_length,
     head_lines,
     parse_fields,
     remaining,
@@ -129,15 +130,6 @@ def _read_head(conn: Stream, deadline: float) -> tuple[str, int, str, dict[str, 
     return version, int(code), reason, headers
 
 
-def _content_length(value: str) -> int:
-    """The length of a Content-Length value; copies joined by ", " must agree."""
-    lengths = set(value.split(", "))
-    length = lengths.pop()
-    if lengths or not (length.isascii() and length.isdigit() and len(length) < 20):
-        raise OSError(f"bad Content-Length {value[:80]!r}")
-    return int(length)
-
-
 def _line(conn: Stream, deadline: float) -> bytes:
     """The next line without its line ending, at most MAX_HEAD_BYTES long."""
     searched = 0
@@ -196,7 +188,9 @@ def _read_reply(conn: Stream, method: str, deadline: float) -> tuple[HttpReply, 
         else:
             body, keep = _read_to_close(conn, deadline), False
     elif "content-length" in headers:
-        length = _content_length(headers["content-length"])
+        length = content_length(headers["content-length"])
+        if length < 0:
+            raise OSError(f"bad Content-Length {headers['content-length'][:80]!r}")
         if length > MAX_BODY_BYTES:
             raise OSError(f"reply body of {length} bytes over MAX_BODY_BYTES")
         conn.receive_until(length, deadline)

@@ -163,6 +163,19 @@ def parse_fields(lines: list[str], singletons: tuple[str, ...] = ()) -> dict[str
     return headers
 
 
+def content_length(value: str) -> int:
+    """The length a Content-Length value gives, or -1 for a malformed one.
+
+    Repeated fields arrive joined by ", ": identical copies give one
+    length (RFC 9110 §8.6), differing copies are malformed.
+    """
+    lengths = set(value.split(", "))
+    length = lengths.pop()
+    if lengths or not (length.isascii() and length.isdigit() and len(length) < 20):
+        return -1
+    return int(length)
+
+
 def closes_connection(version: str, headers: dict[str, str]) -> bool:
     """Whether a message ends its connection (RFC 9112 §9.3)."""
     connection = headers.get("connection", "").lower()
@@ -346,10 +359,8 @@ class Handler(socketserver.BaseRequestHandler):
         if isinstance(headers, int):
             return headers
         self.headers, self._version = headers, version
-        # The body's framing is decided here; two Content-Length fields join to "n, m".
-        length = headers.get("content-length", "0")
-        digits = length.isascii() and length.isdigit() and len(length) < 20
-        self._length = int(length) if digits else -1
+        # The body's framing is decided here.
+        self._length = content_length(headers.get("content-length", "0"))
         self._refusal = (
             411 if "transfer-encoding" in headers  # only Content-Length framing is read
             else 400 if self._length < 0

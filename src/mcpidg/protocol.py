@@ -11,6 +11,7 @@ receive an RPC reply.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -93,10 +94,23 @@ def _valid_id(value: Any) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text[:32]!r} is not a finite JSON number")
+    return value
+
+
+# The decoder for JSON from outside. RFC 8259 §6 has no NaN or Infinity:
+# Python's json accepts both and overflows 1e400 to inf, and a document
+# holding one could be echoed back as a reply that is not JSON.
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 def parse_json(data: bytes) -> Any:
     """Decode one UTF-8 JSON document; raises ParseError otherwise."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return _DECODER.decode(data.decode("utf-8"))
     except (RecursionError, ValueError) as exc:  # too deep, too long a number, not JSON
         raise ParseError(f"malformed JSON body: {exc}") from exc
 

@@ -14,49 +14,26 @@ import logging
 import time
 import uuid
 from dataclasses import dataclass, replace
+from datetime import datetime, timezone
 from typing import Any
 from urllib.parse import urlsplit
 
 from . import __version__, httpserve, protocol
-from .audit import AuditLog, AuditRecord, AuditSinkFailure, utc_timestamp
+from .audit import AuditLog, AuditSinkFailure
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
-from .tokens import DEFAULT_JWKS_TTL, JwksCache, TokenError, VerifierConfig, verify_bearer
+from .tokens import (
+    DEFAULT_JWKS_TTL, JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
+)
 
 log = logging.getLogger("mcpidg.server")
 
 WELL_KNOWN_PATH = "/.well-known/oauth-protected-resource"
 MCP_PATH = "/mcp"
-BEARER_METHODS = ("header", "body")
 
 
 class MalformedAuthorizationHeader(Exception):
     """Authorization header present but not a usable Bearer credential."""
-
-
-@dataclass(frozen=True)
-class ProtectedResourceMetadata:
-    """The discovery document advertised at the well-known paths."""
-
-    resource: str
-    scopes_supported: tuple[str, ...]
-    authorization_servers: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.authorization_servers:
-            raise ValueError("authorization_servers must not be empty")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "resource": self.resource,
-            "scopes_supported": list(self.scopes_supported),
-            "authorization_servers": list(self.authorization_servers),
-            "bearer_methods_supported": list(BEARER_METHODS),
-        }
-
-    def to_json_bytes(self) -> bytes:
-        # Byte-stable: fixed field order, compact separators.
-        return json.dumps(self.to_dict(), separators=(",", ":")).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -67,16 +44,6 @@ class ServerConfig:
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
     jwks_ttl: float = DEFAULT_JWKS_TTL
     audit_sink: str = "audit.jsonl"
-
-
-def metadata_document(config: ServerConfig) -> ProtectedResourceMetadata:
-    if config.resource_url is None:
-        raise ValueError("resource_url must be resolved before building metadata")
-    return ProtectedResourceMetadata(
-        resource=config.resource_url,
-        scopes_supported=tuple(sorted(config.required_scopes)),
-        authorization_servers=(config.issuer_url,),
-    )
 
 
 def extract_bearer(headers: dict[str, str], doc: Any) -> str | None:
@@ -119,7 +86,16 @@ class McpApp:
         self.verifier_config = VerifierConfig(config.resource_url, config.required_scopes)
         origin = urlsplit(config.resource_url)
         self.metadata_url = f"{origin.scheme}://{origin.netloc}{WELL_KNOWN_PATH}"
-        self.metadata = metadata_document(config)
+        # The discovery document, byte-stable: fixed field order, compact separators.
+        self.metadata = json.dumps(
+            {
+                "resource": config.resource_url,
+                "scopes_supported": sorted(config.required_scopes),
+                "authorization_servers": [config.issuer_url],
+                "bearer_methods_supported": ["header", "body"],
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
 
     # -- responses ---------------------------------------------------------
 
@@ -136,7 +112,7 @@ class McpApp:
 
     def get_metadata(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
         """The route serving the discovery document."""
-        return Reply(200, {"Content-Type": "application/json"}, self.metadata.to_json_bytes())
+        return Reply(200, {"Content-Type": "application/json"}, self.metadata)
 
     def _rpc_result(self, response: protocol.RpcResponse) -> Reply:
         return Reply(
@@ -156,30 +132,33 @@ class McpApp:
 
     # -- audit -------------------------------------------------------------
 
-    def _append_audit(
+    def _audit(
         self,
-        *,
-        subject: str,
-        roles: frozenset[str],
-        scopes: frozenset[str],
+        identity: ValidatedIdentity | None,
         tool: str,
         decision: str,
         deny_reason: dict[str, Any] | None,
         validation_us: int,
         started: float,
     ) -> None:
-        record = AuditRecord(
-            timestamp=utc_timestamp(),
-            request_id=str(uuid.uuid4()),
-            subject=subject,
-            roles=tuple(sorted(roles)),
-            scopes=tuple(sorted(scopes)),
-            tool=tool,
-            decision=decision,
-            deny_reason=deny_reason,
-            validation_latency_us=validation_us,
-            total_latency_us=int((time.perf_counter() - started) * 1e6),
-        )
+        """Append the audit record of one decision: its keys, in this order.
+
+        ``identity`` is None when unauthenticated. The subject is unmasked;
+        console logs carry the masked form. Raises AuditSinkFailure.
+        """
+        record: dict[str, Any] = {
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "request_id": str(uuid.uuid4()),
+            "subject": identity.subject if identity else "-",
+            "roles": sorted(identity.roles) if identity else [],
+            "scopes": sorted(identity.scopes) if identity else [],
+            "tool": tool,
+            "decision": decision,
+        }
+        if deny_reason is not None:
+            record["deny_reason"] = deny_reason
+        record["validation_latency_us"] = validation_us
+        record["total_latency_us"] = int((time.perf_counter() - started) * 1e6)
         self.audit.append(record)
 
     # -- pipeline ----------------------------------------------------------
@@ -188,18 +167,6 @@ class McpApp:
         """Authentication strictly precedes JSON-RPC decoding and dispatch."""
         started = time.perf_counter()
 
-        def audit_unauthenticated(reason: str, validation_us: int = 0) -> None:
-            self._append_audit(
-                subject="-",
-                roles=frozenset(),
-                scopes=frozenset(),
-                tool="-",
-                decision="unauthenticated",
-                deny_reason={"kind": reason},
-                validation_us=validation_us,
-                started=started,
-            )
-
         # A body that is not JSON is answered only after authentication.
         parse_error = None
         try:
@@ -207,23 +174,22 @@ class McpApp:
         except protocol.ParseError as exc:
             doc, parse_error = None, exc
 
+        # Each unauthenticated outcome is a challenge with one audit record.
+        identity, reason, validation_us = None, "no_token", 0
         try:
             token = extract_bearer(headers, doc)
         except MalformedAuthorizationHeader:
-            audit_unauthenticated("malformed_authorization_header")
-            return self.challenge(token_presented=True)
-        if token is None:
-            audit_unauthenticated("no_token")
-            return self.challenge(token_presented=False)
-
-        validation_started = time.perf_counter()
-        try:
-            identity = verify_bearer(token, self.verifier_config, self.cache)
-        except TokenError:
+            token, reason = None, "malformed_authorization_header"
+        if token is not None:
+            validation_started = time.perf_counter()
+            try:
+                identity = verify_bearer(token, self.verifier_config, self.cache)
+            except TokenError:
+                reason = "invalid_token"
             validation_us = int((time.perf_counter() - validation_started) * 1e6)
-            audit_unauthenticated("invalid_token", validation_us)
-            return self.challenge(token_presented=True)
-        validation_us = int((time.perf_counter() - validation_started) * 1e6)
+        if identity is None:
+            self._audit(None, "-", "unauthenticated", {"kind": reason}, validation_us, started)
+            return self.challenge(token_presented=reason != "no_token")
 
         if parse_error is not None:
             return self._rpc_error(None, parse_error.code, str(parse_error))
@@ -299,16 +265,7 @@ class McpApp:
                 deny_reason["missing"] = sorted(decision.missing_scopes)
 
         try:
-            self._append_audit(
-                subject=identity.subject,
-                roles=identity.roles,
-                scopes=identity.scopes,
-                tool=name,
-                decision=decision.outcome,
-                deny_reason=deny_reason,
-                validation_us=validation_us,
-                started=started,
-            )
+            self._audit(identity, name, decision.outcome, deny_reason, validation_us, started)
         except AuditSinkFailure as exc:
             log.error("audit sink failure: %s", exc)
             return self._rpc_error(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
 import logging
 import threading
 import time
@@ -25,7 +24,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
-from . import httpclient
+from . import httpclient, protocol
 
 log = logging.getLogger("mcpidg.tokens")
 
@@ -182,9 +181,9 @@ def parse_compact(token: str) -> CompactJwt:
         raise MalformedToken(f"expected 3 segments, found {len(segments)}")
     header_b64, payload_b64, signature_b64 = segments
     try:
-        header = json.loads(_b64url_decode(header_b64))
-        payload = json.loads(_b64url_decode(payload_b64))
-    except (RecursionError, ValueError) as exc:  # too deep, too long a number, not JSON
+        header = protocol.parse_json(_b64url_decode(header_b64))
+        payload = protocol.parse_json(_b64url_decode(payload_b64))
+    except protocol.ParseError as exc:
         raise MalformedToken(f"header/payload is not JSON: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(payload, dict):
         raise MalformedToken("header and payload must be JSON objects")

@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 import logging
 import os
@@ -32,7 +34,8 @@ class TestPkce:
             "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
         )
         assert set(pkce.verifier) <= allowed
-        assert pkce.method == "S256"
+        digest = hashlib.sha256(pkce.verifier.encode("ascii")).digest()  # RFC 7636 §4.2
+        assert pkce.challenge == base64.urlsafe_b64encode(digest).rstrip(b"=").decode()
 
     def test_fresh_verifier_every_time(self):
         assert generate_pkce().verifier != generate_pkce().verifier
@@ -47,9 +50,26 @@ class TestWwwAuthenticateParsing:
         assert params["resource_metadata"].endswith("oauth-protected-resource")
         assert params["error"] == "invalid_token"
 
+    def test_quoted_values_keep_commas_and_quoted_pairs(self):
+        params = parse_www_authenticate(
+            'Bearer resource_metadata="http://h/meta?a=1,b=2", error="invalid_token",'
+            ' Error_Description="say \\"no\\", \\\\", scope=openid'
+        )
+        assert params == {
+            "resource_metadata": "http://h/meta?a=1,b=2",
+            "error": "invalid_token",
+            "error_description": 'say "no", \\',
+            "scope": "openid",
+        }
+
     def test_rejects_non_bearer(self):
         with pytest.raises(AuthFlowError):
             parse_www_authenticate('Basic realm="x"')
+
+    @pytest.mark.parametrize("value", ['Bearer realm="open', "Bearer a=b c=d", "Bearer =x"])
+    def test_rejects_malformed_parameters(self, value):
+        with pytest.raises(AuthFlowError):
+            parse_www_authenticate(value)
 
 
 class TestTranscriptModel:

@@ -93,16 +93,23 @@ SMUGGLED = get("/smuggled")
         ("POST {post} HTTP/1.1\r\nContent-Length: abc\r\n", SMUGGLED, 400),
         ("POST {post} HTTP/1.1\r\nContent-Length: -5\r\n", SMUGGLED, 400),
         ("POST {post} HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n", SMUGGLED, 400),
+        ("POST {post} HTTP/1.1\r\nContent-Length: {big}\r\nContent-Length: {big}\r\n",
+         SMUGGLED, 413),
         ("POST {post} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
          b"%x\r\n%s\r\n0\r\n\r\n" % (len(SMUGGLED), SMUGGLED), 411),
     ],
-    ids=["unknown-path", "bad-length", "negative-length", "two-lengths", "chunked"],
+    ids=[
+        "unknown-path", "bad-length", "negative-length", "two-lengths", "agreeing-lengths-over-cap",
+        "chunked",
+    ],
 )
 def test_reply_without_reading_the_body_closes_the_connection(target, head, body, status):
     sock, rfile = connect(target.port)
     with sock, rfile:
         kept_alive_exchange(sock, rfile, target)
-        request_head = head.format(n=len(body), post=target.post_path)
+        request_head = head.format(
+            n=len(body), post=target.post_path, big=httpserve.MAX_BODY_BYTES + 1
+        )
         sock.sendall(f"{request_head}Host: t\r\n\r\n".encode() + body)
         got, headers, _ = read_reply(rfile)
         assert got == status

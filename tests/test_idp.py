@@ -31,7 +31,7 @@ def authorize_params(pkce, persona="developer-persona", **overrides):
         "scope": "openid profile mcp.docs.read mcp.code.search",
         "state": "xyz",
         "code_challenge": pkce.challenge,
-        "code_challenge_method": pkce.method,
+        "code_challenge_method": "S256",
         "username": persona,
     }
     params.update(overrides)

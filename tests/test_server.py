@@ -3,29 +3,31 @@ import logging
 import os
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import padding
 
 from conftest import mcp_post, rpc
-from mcpidg import httpclient
-from mcpidg.audit import AuditRecord, AuditSinkFailure, AuditLog, read_records
+from mcpidg import httpclient, protocol
+from mcpidg.audit import AuditSinkFailure, AuditLog, read_records
 from mcpidg.httpserve import BindFailure
 from mcpidg.policy import authorize
 from mcpidg.server import (
     MalformedAuthorizationHeader,
-    ProtectedResourceMetadata,
+    McpApp,
     ServerConfig,
     extract_bearer,
-    metadata_document,
     serve,
 )
 from mcpidg.tokens import ValidatedIdentity, b64url_encode
 from mcpidg.tools import default_policy, default_registry
 
-REFERENCE_METADATA = {
-    "resource": "http://localhost:8000/mcp",
-    "scopes_supported": ["openid", "profile"],
-    "authorization_servers": ["http://localhost:8081/realms/master"],
-    "bearer_methods_supported": ["header", "body"],
-}
+# The published descriptor, byte for byte: field order and compact separators.
+REFERENCE_METADATA = (
+    b'{"resource":"http://localhost:8000/mcp",'
+    b'"scopes_supported":["openid","profile"],'
+    b'"authorization_servers":["http://localhost:8081/realms/master"],'
+    b'"bearer_methods_supported":["header","body"]}'
+)
 
 
 def mint(stack, persona, **kwargs):
@@ -39,33 +41,21 @@ def with_kid(token: str, kid: str) -> str:
 
 
 class TestMetadataDocument:
-    def test_reference_config_reproduces_published_descriptor(self):
-        config = ServerConfig(resource_url="http://localhost:8000/mcp")
-        doc = metadata_document(config).to_dict()
-        assert doc == REFERENCE_METADATA
-
-    def test_encoding_is_byte_stable(self):
-        config = ServerConfig(resource_url="http://localhost:8000/mcp")
-        assert (
-            metadata_document(config).to_json_bytes()
-            == metadata_document(config).to_json_bytes()
+    def test_reference_config_reproduces_published_descriptor(self, tmp_path, registry, policy):
+        config = ServerConfig(
+            resource_url="http://localhost:8000/mcp", audit_sink=str(tmp_path / "audit.jsonl")
         )
+        reply = McpApp(config, policy, registry).get_metadata("", {}, b"")
+        assert reply.status == 200
+        assert reply.headers == {"Content-Type": "application/json"}
+        assert reply.body == REFERENCE_METADATA
 
-    def test_two_authorization_servers_supported(self):
-        doc = ProtectedResourceMetadata(
-            resource="http://localhost:8000/mcp",
-            scopes_supported=("openid",),
-            authorization_servers=("http://a.test", "http://b.test"),
-        )
-        assert len(doc.to_dict()["authorization_servers"]) == 2
-
-    def test_empty_authorization_servers_rejected(self):
-        with pytest.raises(ValueError):
-            ProtectedResourceMetadata(
-                resource="http://localhost:8000/mcp",
-                scopes_supported=("openid",),
-                authorization_servers=(),
-            )
+    def test_encoding_is_byte_stable(self, stack):
+        expected = REFERENCE_METADATA.replace(
+            b"http://localhost:8000/mcp", stack.server.resource_url.encode()
+        ).replace(b"http://localhost:8081/realms/master", stack.issuer.encode())
+        for _ in range(2):
+            assert httpclient.get(stack.server.metadata_url).body == expected
 
     def test_served_identically_at_both_well_known_paths(self, stack):
         origin = stack.server.metadata_url.rsplit("/.well-known", 1)[0]
@@ -74,7 +64,7 @@ class TestMetadataDocument:
         assert bare.status == suffixed.status == 200
         assert bare.body == suffixed.body
         doc = bare.json()
-        assert set(doc) == set(REFERENCE_METADATA)
+        assert set(doc) == set(json.loads(REFERENCE_METADATA))
         assert doc["resource"] == stack.server.resource_url
 
 
@@ -127,7 +117,7 @@ class TestChallenge:
         url = challenge.split('resource_metadata="')[1].split('"')[0]
         followed = httpclient.get(url)
         assert followed.status == 200
-        assert set(followed.json()) == set(REFERENCE_METADATA)
+        assert set(followed.json()) == set(json.loads(REFERENCE_METADATA))
 
     def test_access_log_line_emitted(self, stack, caplog):
         with caplog.at_level(logging.INFO, logger="mcpidg.server"):
@@ -253,13 +243,16 @@ class TestDispatch:
         real_loads = json.loads
         body_decodes = []
 
-        def counting_loads(text, *args, **kwargs):
-            # Token segments and key documents are other strings.
-            if text == body.decode():
-                body_decodes.append(text)
-            return real_loads(text, *args, **kwargs)
+        def counting(decode):
+            def counted(text, *args, **kwargs):
+                # Token segments and key documents are other strings.
+                if text in (body, body.decode()):
+                    body_decodes.append(text)
+                return decode(text, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(json, "loads", counting_loads)
+        monkeypatch.setattr(json, "loads", counting(real_loads))
+        monkeypatch.setattr(protocol, "parse_json", counting(protocol.parse_json))
         result = stack.server.app.handle_mcp_post({}, body)
         assert result.status == 200
         assert real_loads(result.body)["result"]["tool"] == "docs_search"
@@ -319,8 +312,18 @@ def token_with_payload(payload: bytes) -> str:
     return f"{b64url_encode(header)}.{b64url_encode(payload)}.{b64url_encode(b'sig')}"
 
 
+def signed_with_claim_text(core, claim: str, text: str) -> str:
+    """A valid token of the core's, but one claim's value is the raw JSON ``text``."""
+    claims = core.standard_claims("developer-persona", frozenset({"openid", "profile"}))
+    payload = json.dumps(claims | {claim: "?"}).replace('"?"', text).encode()
+    head = core.sign_claims({}).split(".")[0]
+    signing_input = f"{head}.{b64url_encode(payload)}".encode()
+    signature = core._keys[-1].private_key.sign(signing_input, padding.PKCS1v15(), hashes.SHA256())
+    return f"{signing_input.decode()}.{b64url_encode(signature)}"
+
+
 class TestHostileJson:
-    """JSON too deep or with too long a number is rejected, never a 200."""
+    """JSON too deep, with too long a number or a non-finite one is rejected, never a 200."""
 
     @pytest.mark.parametrize("body", [DEEP_JSON, LONG_INTEGER], ids=["deep", "long-integer"])
     def test_body_without_credential_is_challenged(self, stack, caplog, body):
@@ -341,6 +344,29 @@ class TestHostileJson:
     def test_token_payload_is_invalid_token(self, stack, caplog, payload, bearer_mode):
         token = token_with_payload(payload)
         reply = mcp_post(stack.mcp_url, rpc("initialize", 1), token, bearer_mode)
+        assert reply.status == 401
+        assert 'error="invalid_token"' in reply.header("www-authenticate")
+        assert [r["deny_reason"] for r in read_records(stack.audit_path)] == [
+            {"kind": "invalid_token"}
+        ]
+        assert "unhandled server error" not in caplog.text
+
+    @pytest.mark.parametrize("number", ["NaN", "1e400"])
+    def test_non_finite_number_in_body_is_parse_error(self, stack, number):
+        body = (
+            '{"jsonrpc":"2.0","id":1,"method":"tools/call",'
+            f'"params":{{"name":"docs_search","arguments":{{"query":{number}}}}}}}'
+        ).encode()
+        reply = mcp_post(stack.mcp_url, body, mint(stack, "developer-persona"))
+        assert reply.status == 200
+        assert reply.json()["error"]["code"] == -32700
+
+    @pytest.mark.parametrize(
+        "claim, text", [("exp", "NaN"), ("iat", "1e400"), ("nbf", "-Infinity")]
+    )
+    def test_signed_non_finite_date_claim_is_invalid_token(self, stack, caplog, claim, text):
+        token = signed_with_claim_text(stack.idp.core, claim, text)
+        reply = mcp_post(stack.mcp_url, rpc("initialize", 1), token)
         assert reply.status == 401
         assert 'error="invalid_token"' in reply.header("www-authenticate")
         assert [r["deny_reason"] for r in read_records(stack.audit_path)] == [
@@ -370,6 +396,13 @@ class TestForgedKeyIds:
         reply = mcp_post(stack.mcp_url, call, token)
         assert reply.status == 200
         assert reply.json()["result"]["tool"] == "docs_search"
+
+
+# The keys of an allow record, in order; deny_reason follows decision on the others.
+RECORD_KEYS = [
+    "timestamp", "request_id", "subject", "roles", "scopes", "tool", "decision",
+    "validation_latency_us", "total_latency_us",
+]
 
 
 class TestAudit:
@@ -427,13 +460,25 @@ class TestAudit:
         mcp_post(stack.mcp_url, rpc("tools/call", 1, {"name": "docs_search",
                                                       "arguments": {}}), token)
         record = read_records(stack.audit_path)[0]
-        assert set(record) == {
-            "timestamp", "request_id", "subject", "roles", "scopes", "tool",
-            "decision", "validation_latency_us", "total_latency_us",
-        }
+        assert list(record) == RECORD_KEYS
         assert record["total_latency_us"] >= record["validation_latency_us"] > 0
         assert record["tool"] == "docs_search"
         assert record["roles"] == ["developer"]
+
+    def test_each_decision_writes_its_keys_in_order_on_one_compact_line(self, stack):
+        call = rpc("tools/call", 1, {"name": "code_search", "arguments": {}})
+        assert mcp_post(stack.mcp_url, call, mint(stack, "developer-persona")).status == 200
+        assert mcp_post(stack.mcp_url, call, mint(stack, "contractor-persona")).status == 200
+        assert mcp_post(stack.mcp_url, call).status == 401
+        with open(stack.audit_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["decision"] for r in records] == ["allow", "deny", "unauthenticated"]
+        with_reason = RECORD_KEYS[:7] + ["deny_reason"] + RECORD_KEYS[7:]
+        assert [list(r) for r in records] == [RECORD_KEYS, with_reason, with_reason]
+        assert [json.dumps(r, separators=(",", ":")) for r in records] == lines
+        assert records[2]["deny_reason"] == {"kind": "no_token"}
+        assert (records[2]["subject"], records[2]["roles"], records[2]["tool"]) == ("-", [], "-")
 
     def test_deny_records_replay_consistently(self, stack, registry, policy):
         tokens = {
@@ -468,13 +513,8 @@ class TestAudit:
 
     def test_append_failure_raises(self, tmp_path):
         sink = AuditLog(str(tmp_path))  # a directory, not a file
-        record = AuditRecord(
-            timestamp="2024-01-01T00:00:00+00:00", request_id="r", subject="s",
-            roles=(), scopes=(), tool="-", decision="unauthenticated",
-            deny_reason=None, validation_latency_us=0, total_latency_us=0,
-        )
         with pytest.raises(AuditSinkFailure):
-            sink.append(record)
+            sink.append({"decision": "unauthenticated"})
 
     def test_renamed_sink_is_followed_by_a_new_file(self, stack):
         token = mint(stack, "developer-persona")
@@ -498,11 +538,7 @@ class TestAudit:
     def test_sink_reopens_after_a_failed_append(self, tmp_path):
         path = str(tmp_path / "audit.jsonl")
         sink = AuditLog(path)
-        record = AuditRecord(
-            timestamp="2024-01-01T00:00:00+00:00", request_id="r", subject="s",
-            roles=(), scopes=(), tool="-", decision="unauthenticated",
-            deny_reason=None, validation_latency_us=0, total_latency_us=0,
-        )
+        record = {"decision": "unauthenticated"}
         try:
             sink.append(record)
             sink.path = str(tmp_path)  # a directory, not a file
