@@ -19,6 +19,8 @@ import os
 import threading
 from typing import Any
 
+from . import protocol
+
 
 class AuditSinkFailure(Exception):
     pass
@@ -74,9 +76,8 @@ class AuditLog:
 def read_records(path: str) -> list[dict[str, Any]]:
     """Load every record in the sink (test/replay helper)."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if line.strip():
+                records.append(protocol.parse_json(line))
     return records

@@ -18,13 +18,13 @@ import threading
 from contextlib import contextmanager
 from typing import Any
 
-from . import __version__, bench as bench_mod, harness
+from . import __version__, bench as bench_mod, harness, protocol
 from .httpserve import BindFailure
 from .idp import IdpConfig, default_users, load_fixtures, serve_idp
 from .policy import PolicyError, PolicyTable, load_policy_file
 from .server import ServerConfig, serve
 from .stack import LocalStack, start_stack
-from .tokens import mask_subject
+from .tokens import DISCOVERY_PATH, mask_subject
 from .tokenstore import TokenStore
 from .tools import default_policy, default_registry
 
@@ -111,9 +111,9 @@ def cmd_serve_idp(args: argparse.Namespace) -> int:
     users = clients = None
     if args.fixtures:
         try:
-            with open(args.fixtures, encoding="utf-8") as fh:
-                users, clients = load_fixtures(json.load(fh))
-        except (OSError, ValueError, RecursionError) as exc:
+            with open(args.fixtures, "rb") as fh:
+                users, clients = load_fixtures(protocol.parse_json(fh.read()))
+        except (OSError, protocol.ParseError, ValueError) as exc:  # ValueError: the shape
             log.error("cannot load fixtures %r: %s", args.fixtures, exc)
             return EXIT_INFRASTRUCTURE
     try:
@@ -122,7 +122,7 @@ def cmd_serve_idp(args: argparse.Namespace) -> int:
         log.error("%s", exc)
         return EXIT_INFRASTRUCTURE
     log.info("identity provider ready; issuer %s", handle.issuer)
-    log.info("discovery: %s/.well-known/openid-configuration", handle.issuer)
+    log.info("discovery: %s%s", handle.issuer, DISCOVERY_PATH)
     with handle:
         _wait_for_signal()
     log.info("identity provider stopped")
@@ -252,19 +252,13 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             store_path = args.token_store or f"{workdir}/tokens.json"
             store = TokenStore(store_path)
 
+            # Each run's transcript and the identity-provider requests it made.
+            runs: list[tuple[harness.FlowTranscript, int]] = []
             try:
                 with capture_package_logs() as capture:
-                    transcript = harness.run_sequence(
-                        mcp_url,
-                        persona,
-                        tool=args.tool,
-                        token_store=store,
-                        bearer_mode=args.bearer_mode,
-                    )
-                    repeats: list[tuple[harness.FlowTranscript, int]] = []
-                    for _ in range(max(0, args.repeat - 1)):
+                    for _ in range(max(1, args.repeat)):
                         before = stack.idp.total_requests if stack else -1
-                        warm_transcript = harness.run_sequence(
+                        transcript = harness.run_sequence(
                             mcp_url,
                             persona,
                             tool=args.tool,
@@ -272,12 +266,16 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                             bearer_mode=args.bearer_mode,
                         )
                         after = stack.idp.total_requests if stack else -1
-                        repeats.append((warm_transcript, after - before))
+                        runs.append((transcript, after - before))
             except harness.StepFailure as exc:
                 print(exc.transcript.to_jsonl(), file=sys.stdout)
                 log.error("sequence failed at step %d: %s", exc.index, exc.detail)
                 return EXIT_INFRASTRUCTURE
+            except OSError as exc:  # the token store; run_sequence maps network errors to steps
+                log.error("token store %r is unusable: %s", store_path, exc)
+                return EXIT_INFRASTRUCTURE
 
+            transcript = runs[0][0]
             print(transcript.to_jsonl())
             # A pre-populated token store makes even the first run warm.
             first_run_warm = transcript.step(1) is None
@@ -296,7 +294,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                     is_ordered_subsequence(expected, capture.messages),
                 )
 
-            for i, (warm_transcript, idp_delta) in enumerate(repeats, start=2):
+            for i, (warm_transcript, idp_delta) in enumerate(runs[1:], start=2):
                 print(warm_transcript.to_jsonl())
                 _check_transcript(checks, warm_transcript, args.expect_deny, warm=True)
                 if stack is not None:

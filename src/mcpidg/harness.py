@@ -19,6 +19,7 @@ import hashlib
 import json
 import re
 import secrets
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field, replace
@@ -28,6 +29,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit
 from . import httpclient, protocol
 from .httpserve import TOKEN
 from .idp import DEFAULT_CLIENT_ID, DEFAULT_REDIRECT_URI, s256_challenge
+from .tokens import discover_oidc
 from .tokenstore import TokenStore
 
 # Scope vocabulary the client is configured to request; the provider
@@ -180,26 +182,11 @@ def _json_object(reply: httpclient.HttpReply, what: str) -> dict[str, Any]:
     """The reply body as a JSON object; raises AuthFlowError otherwise."""
     try:
         doc = reply.json()
-    except ValueError as exc:
+    except protocol.ParseError as exc:
         raise AuthFlowError(f"{what} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise AuthFlowError(f"{what} is not a JSON object")
     return doc
-
-
-def discover_oidc(issuer: str) -> dict[str, Any]:
-    url = issuer.rstrip("/") + "/.well-known/openid-configuration"
-    try:
-        reply = httpclient.get(url)
-    except OSError as exc:
-        raise AuthFlowError(f"discovery fetch failed: {exc}") from exc
-    if reply.status != 200:
-        raise AuthFlowError(f"discovery endpoint returned {reply.status}")
-    discovery = _json_object(reply, "discovery document")
-    for endpoint in ("authorization_endpoint", "token_endpoint"):
-        if not isinstance(discovery.get(endpoint), str):
-            raise AuthFlowError(f"discovery document lacks a string {endpoint}")
-    return discovery
 
 
 def acquire_token(
@@ -214,6 +201,7 @@ def acquire_token(
 
     Raises AuthFlowError on any provider rejection, and also when the
     response carries a refresh_token -- this deployment never issues one.
+    A transport failure raises OSError.
     """
     state = secrets.token_urlsafe(16)
     query = urlencode(
@@ -228,11 +216,7 @@ def acquire_token(
             "username": persona,
         }
     )
-    authorize_url = f"{discovery['authorization_endpoint']}?{query}"
-    try:
-        reply = httpclient.get(authorize_url)
-    except OSError as exc:
-        raise AuthFlowError(f"authorize request failed: {exc}") from exc
+    reply = httpclient.get(f"{discovery['authorization_endpoint']}?{query}")
     if reply.status != 302:
         raise AuthFlowError(
             f"authorize endpoint returned {reply.status}: {reply.body.decode(errors='replace')}"
@@ -255,14 +239,9 @@ def acquire_token(
             "redirect_uri": redirect_uri,
         }
     ).encode("ascii")
-    try:
-        token_reply = httpclient.post(
-            discovery["token_endpoint"],
-            form,
-            {"Content-Type": "application/x-www-form-urlencoded"},
-        )
-    except OSError as exc:
-        raise AuthFlowError(f"token request failed: {exc}") from exc
+    token_reply = httpclient.post(
+        discovery["token_endpoint"], form, {"Content-Type": "application/x-www-form-urlencoded"}
+    )
     if token_reply.status != 200:
         raise AuthFlowError(
             f"token endpoint returned {token_reply.status}: "
@@ -273,6 +252,14 @@ def acquire_token(
         raise AuthFlowError("token response carries a refresh_token; none may be issued")
     if not isinstance(response.get("access_token"), str):
         raise AuthFlowError("token response lacks an access_token")
+    # RFC 6749 §5.1: a number of seconds; true and false are ints in Python.
+    expires_in = response.get("expires_in", 0)
+    if (
+        isinstance(expires_in, bool)
+        or not isinstance(expires_in, (int, float))
+        or abs(expires_in) > sys.float_info.max
+    ):
+        raise AuthFlowError(f"token response expires_in {expires_in!r:.40} is not a number")
     return response
 
 
@@ -451,6 +438,13 @@ def _cold_start(
         metadata = _json_object(meta_reply, "resource metadata")
     except AuthFlowError as exc:
         raise fail(4, str(exc))
+    # RFC 9728 §2: a string resource, and an array of issuer strings.
+    resource = metadata.get("resource", "")
+    servers = metadata.get("authorization_servers", [])
+    if not isinstance(resource, str):
+        raise fail(4, "resource metadata 'resource' is not a string")
+    if not isinstance(servers, list) or not all(isinstance(s, str) for s in servers):
+        raise fail(4, "resource metadata 'authorization_servers' is not an array of strings")
     transcript.add(
         3, "GET resource metadata (challenge URL)", f"GET {metadata_url}",
         f"status {meta_reply.status}", timer.elapsed_us,
@@ -458,12 +452,10 @@ def _cold_start(
     transcript.add(
         4, "resource metadata with authorization server",
         "(response to step 3)",
-        f"authorization_servers={metadata.get('authorization_servers')}",
+        f"authorization_servers={servers}",
     )
 
-    resource = metadata.get("resource", "")
-    suffix = urlsplit(resource).path or ""
-    suffixed_url = metadata_url.rstrip("/") + suffix
+    suffixed_url = metadata_url.rstrip("/") + urlsplit(resource).path
     with _StepTimer() as timer:
         try:
             suffixed_reply = httpclient.get(suffixed_url)
@@ -482,7 +474,6 @@ def _cold_start(
         "(response to step 5)", "body equals step 4 body",
     )
 
-    servers = metadata.get("authorization_servers") or []
     if not servers:
         raise fail(7, "metadata names no authorization servers")
     issuer = servers[0]
@@ -494,17 +485,17 @@ def _cold_start(
             # acquire_token runs authorize (7) and token (8-9) together;
             # any provider rejection surfaces here.
             token_response = acquire_token(discovery, persona, pkce, DEFAULT_REQUEST_SCOPES)
-        except AuthFlowError as exc:
+        except (OSError, AuthFlowError) as exc:
             raise fail(7, str(exc))
     transcript.add(
         7, "authorization request (PKCE)",
-        f"GET {discovery.get('authorization_endpoint', issuer)} "
+        f"GET {discovery['authorization_endpoint']} "
         f"(S256 verifier sha256={verifier_digest[:16]}...)",
         "302 redirect with authorization code", timer.elapsed_us,
     )
     transcript.add(
         8, "token request (PKCE)",
-        f"POST {discovery.get('token_endpoint', issuer)} grant_type=authorization_code",
+        f"POST {discovery['token_endpoint']} grant_type=authorization_code",
         "(see step 9)",
     )
     transcript.add(

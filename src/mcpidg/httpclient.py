@@ -18,7 +18,6 @@ raises OSError, as a transport error does.
 
 from __future__ import annotations
 
-import json
 import re
 import socket
 import ssl
@@ -27,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
+from . import protocol
 from .httpserve import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
@@ -57,7 +57,8 @@ class HttpReply:
         return self.headers.get(name.lower())
 
     def json(self):
-        return json.loads(self.body.decode("utf-8"))
+        """The body as one RFC 8259 JSON document; raises protocol.ParseError."""
+        return protocol.parse_json(self.body)
 
 
 class _KeptConnections(dict):

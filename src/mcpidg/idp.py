@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from . import httpserve
 from .httpserve import Reply
-from .tokens import b64url_encode
+from .tokens import DISCOVERY_PATH, b64url_encode
 
 log = logging.getLogger("mcpidg.idp")
 
@@ -486,7 +486,7 @@ def serve_idp(config: IdpConfig) -> IdpHandle:
     handle.core = MockIdp(issuer, config.audience, config.users, config.clients)
     prefix = urlsplit(issuer).path.rstrip("/")
     handle.routes = {
-        ("GET", f"{prefix}/.well-known/openid-configuration"): handle._discovery,
+        ("GET", prefix + DISCOVERY_PATH): handle._discovery,
         ("GET", f"{prefix}/jwks"): handle._jwks,
         ("GET", f"{prefix}/authorize"): handle._authorize,
         ("POST", f"{prefix}/token"): handle._token,

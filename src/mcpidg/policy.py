@@ -8,9 +8,10 @@ reason. Tables are immutable after load.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol
+
+from . import protocol
 
 
 class PolicyError(Exception):
@@ -149,11 +150,12 @@ def load_policy(document: dict[str, Any], registry: ToolRegistry) -> PolicyTable
 
 
 def load_policy_file(path: str, registry: ToolRegistry) -> PolicyTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
-            raise PolicyFormatError(f"policy file {path!r} is not usable JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        document = protocol.parse_json(data)
+    except protocol.ParseError as exc:
+        raise PolicyFormatError(f"policy file {path!r} is not usable JSON: {exc}") from exc
     return load_policy(document, registry)
 
 

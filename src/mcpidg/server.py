@@ -140,11 +140,12 @@ class McpApp:
         deny_reason: dict[str, Any] | None,
         validation_us: int,
         started: float,
-    ) -> None:
+    ) -> bool:
         """Append the audit record of one decision: its keys, in this order.
 
         ``identity`` is None when unauthenticated. The subject is unmasked;
-        console logs carry the masked form. Raises AuditSinkFailure.
+        console logs carry the masked form. Returns False, after logging,
+        when the sink fails; the decision must then not be carried out.
         """
         record: dict[str, Any] = {
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -159,7 +160,12 @@ class McpApp:
             record["deny_reason"] = deny_reason
         record["validation_latency_us"] = validation_us
         record["total_latency_us"] = int((time.perf_counter() - started) * 1e6)
-        self.audit.append(record)
+        try:
+            self.audit.append(record)
+        except AuditSinkFailure as exc:
+            log.error("audit sink failure: %s", exc)
+            return False
+        return True
 
     # -- pipeline ----------------------------------------------------------
 
@@ -188,8 +194,10 @@ class McpApp:
                 reason = "invalid_token"
             validation_us = int((time.perf_counter() - validation_started) * 1e6)
         if identity is None:
-            self._audit(None, "-", "unauthenticated", {"kind": reason}, validation_us, started)
-            return self.challenge(token_presented=reason != "no_token")
+            if self._audit(None, "-", "unauthenticated", {"kind": reason}, validation_us, started):
+                return self.challenge(token_presented=reason != "no_token")
+            # No challenge: a token fetched now could not be used while the sink is down.
+            return Reply(status=503, headers={"Retry-After": "1"})
 
         if parse_error is not None:
             return self._rpc_error(None, parse_error.code, str(parse_error))
@@ -264,10 +272,7 @@ class McpApp:
             if decision.missing_scopes:
                 deny_reason["missing"] = sorted(decision.missing_scopes)
 
-        try:
-            self._audit(identity, name, decision.outcome, deny_reason, validation_us, started)
-        except AuditSinkFailure as exc:
-            log.error("audit sink failure: %s", exc)
+        if not self._audit(identity, name, decision.outcome, deny_reason, validation_us, started):
             return self._rpc_error(
                 request.id, protocol.INTERNAL_ERROR, "audit sink unavailable"
             )

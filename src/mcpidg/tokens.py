@@ -154,8 +154,8 @@ class JwkSet:
                 self._unusable[jwk.get("kid")] = str(exc)
 
     @classmethod
-    def from_document(cls, doc: dict[str, Any]) -> "JwkSet":
-        keys = doc.get("keys")
+    def from_document(cls, doc: Any) -> "JwkSet":
+        keys = doc.get("keys") if isinstance(doc, dict) else None
         if not isinstance(keys, list):
             raise ValueError("JWKS document must carry a 'keys' array")
         return cls(keys)
@@ -302,26 +302,40 @@ def validate_claims(
 # round trips: OIDC discovery, then the jwks_uri it names).
 JwksFetcher = Callable[[str], JwkSet]
 
+# OpenID Connect Discovery 1.0 §4: the document's place below the issuer.
+DISCOVERY_PATH = "/.well-known/openid-configuration"
 
-def fetch_jwks_via_discovery(issuer: str, timeout: float = 5.0) -> JwkSet:
-    """Default fetcher: <issuer>/.well-known/openid-configuration -> jwks_uri."""
-    discovery_url = issuer.rstrip("/") + "/.well-known/openid-configuration"
-    reply = httpclient.get(discovery_url, timeout=timeout)
+
+def discover_oidc(issuer: str, timeout: float = 10.0) -> dict[str, Any]:
+    """The issuer's OIDC discovery document; raises OSError unless usable.
+
+    Usable means a 200 reply holding a JSON object that names ``issuer``
+    itself (the mix-up defense of Discovery §4.3 and RFC 8414 §3.3) and
+    the endpoints Discovery §3 marks REQUIRED as strings.
+    """
+    reply = httpclient.get(issuer.rstrip("/") + DISCOVERY_PATH, timeout=timeout)
     if reply.status != 200:
         raise OSError(f"discovery endpoint returned {reply.status}")
-    document = reply.json()
+    try:
+        document = reply.json()
+    except protocol.ParseError as exc:
+        raise OSError(f"discovery document is not JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise OSError("discovery document is not a JSON object")
     if document.get("issuer") != issuer:
-        # Mix-up defense: keys must come from the issuer we asked about.
-        raise OSError(
-            f"discovery issuer {document.get('issuer')!r} != requested {issuer!r}"
-        )
-    jwks_uri = document.get("jwks_uri")
-    if not isinstance(jwks_uri, str):
-        raise OSError("discovery document lacks jwks_uri")
-    keys_reply = httpclient.get(jwks_uri, timeout=timeout)
-    if keys_reply.status != 200:
-        raise OSError(f"JWKS endpoint returned {keys_reply.status}")
-    return JwkSet.from_document(keys_reply.json())
+        raise OSError(f"discovery issuer {document.get('issuer')!r} != requested {issuer!r}")
+    for name in ("authorization_endpoint", "token_endpoint", "jwks_uri"):
+        if not isinstance(document.get(name), str):
+            raise OSError(f"discovery document lacks a string {name}")
+    return document
+
+
+def fetch_jwks_via_discovery(issuer: str, timeout: float = 5.0) -> JwkSet:
+    """Default fetcher: the key set at the issuer's discovered jwks_uri."""
+    reply = httpclient.get(discover_oidc(issuer, timeout)["jwks_uri"], timeout=timeout)
+    if reply.status != 200:
+        raise OSError(f"JWKS endpoint returned {reply.status}")
+    return JwkSet.from_document(reply.json())
 
 
 class JwksCache:

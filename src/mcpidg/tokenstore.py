@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from . import protocol
+
 log = logging.getLogger("mcpidg.tokenstore")
 
 
@@ -32,11 +34,11 @@ class TokenStore:
 
     def _load(self) -> dict[str, dict]:
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(self.path, "rb") as fh:
+                doc = protocol.parse_json(fh.read())
         except FileNotFoundError:
             return {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except protocol.ParseError as exc:
             log.warning("token store %r is corrupt (%s); treating as empty", self.path, exc)
             return {}
         entries = doc.get("entries") if isinstance(doc, dict) else None

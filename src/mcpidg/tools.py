@@ -8,10 +8,10 @@ out of scope.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from typing import Any
 
+from . import protocol
 from .policy import PolicyTable, ToolRegistry, load_policy
 
 SCOPE_DOCS_READ = "mcp.docs.read"
@@ -96,10 +96,9 @@ def default_registry() -> ToolRegistry:
 
 def default_policy_document() -> dict[str, Any]:
     """The shipped role/scope/tool mapping (see data/default_policy.json)."""
-    text = (
-        resources.files("mcpidg").joinpath("data/default_policy.json").read_text()
+    return protocol.parse_json(
+        resources.files("mcpidg").joinpath("data/default_policy.json").read_bytes()
     )
-    return json.loads(text)
 
 
 def default_policy(registry: ToolRegistry | None = None) -> PolicyTable:

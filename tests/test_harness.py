@@ -7,10 +7,12 @@ import re
 import stat
 import sys
 import threading
+from collections import Counter
+from urllib.parse import parse_qs
 
 import pytest
 
-from mcpidg import cli, httpclient, httpserve
+from mcpidg import cli, harness, httpclient, httpserve, tokens
 from mcpidg.harness import (
     AuthFlowError,
     FlowTranscript,
@@ -280,6 +282,34 @@ def _challenging_resource(stub, metadata: bytes) -> str:
     return f"{stub.base}/mcp"
 
 
+def _stub_provider(stub, token_body: bytes = b"{}", **discovery):
+    """Make the stub an identity provider; ``discovery`` overrides document fields.
+
+    Returns its issuer and the requests its authorize and token endpoints got.
+    """
+    issuer = f"{stub.base}/realms/x"
+    document = {
+        "issuer": issuer, "authorization_endpoint": f"{issuer}/authorize",
+        "token_endpoint": f"{issuer}/token", "jwks_uri": f"{issuer}/jwks", **discovery,
+    }
+    discovery_path = "/realms/x/.well-known/openid-configuration"
+    stub.replies[discovery_path] = (200, json.dumps(document).encode(), {})
+    calls = Counter()
+
+    def authorize(query, headers, body):
+        calls["authorize"] += 1
+        state = parse_qs(query)["state"][0]
+        return httpserve.Reply(302, {"Location": f"http://cb.test/?code=c&state={state}"})
+
+    def token(query, headers, body):
+        calls["token"] += 1
+        return httpserve.Reply(200, {"Content-Type": "application/json"}, token_body)
+
+    stub.routes["GET", "/realms/x/authorize"] = authorize
+    stub.routes["POST", "/realms/x/token"] = token
+    return issuer, calls
+
+
 class TestMalformedReplies:
     """A reply that is not the JSON the flow expects is a step failure, not a crash."""
 
@@ -296,6 +326,51 @@ class TestMalformedReplies:
         with pytest.raises(StepFailure) as excinfo:
             run_sequence(mcp_url, "developer-persona")
         assert excinfo.value.index == 4
+
+    @pytest.mark.parametrize("metadata", [
+        {"resource": 7, "authorization_servers": ["http://idp.test"]},
+        {"resource": "http://rs/mcp", "authorization_servers": [7]},
+        {"resource": "http://rs/mcp", "authorization_servers": {"a": 1}},
+    ], ids=["resource-not-a-string", "server-not-a-string", "servers-not-an-array"])
+    def test_metadata_of_another_shape_fails_at_step_4(self, stub, metadata):
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona")
+        assert excinfo.value.index == 4
+
+    def test_discovery_naming_another_issuer_fails_at_step_7_before_the_code_flow(
+        self, stub, caplog
+    ):
+        assert harness.discover_oidc is tokens.discover_oidc
+        issuer, calls = _stub_provider(stub, issuer="https://attacker.example/realms/master")
+        metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": [issuer]}
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona")
+        assert excinfo.value.index == 7
+        assert "attacker.example" in excinfo.value.detail
+        with caplog.at_level(logging.ERROR, logger="mcpidg"):
+            exit_code = cli.main(["conformance", "--mcp-url", mcp_url, "--persona", "developer"])
+        assert exit_code == 1
+        assert not any(r.exc_info for r in caplog.records)
+        assert calls == {}, "the code flow must not reach a provider that names another issuer"
+
+    @pytest.mark.parametrize(
+        "expires_in", [b"null", b'"300"', b"true", b"1" + b"0" * 400],
+        ids=["null", "string", "true", "beyond-a-float"],
+    )
+    def test_token_response_expires_in_not_a_number_fails_at_step_7(
+        self, stub, tmp_path, expires_in
+    ):
+        token_body = b'{"access_token":"t","token_type":"Bearer","expires_in":' + expires_in + b"}"
+        issuer, calls = _stub_provider(stub, token_body)
+        metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": [issuer]}
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        store = TokenStore(str(tmp_path / "tokens.json"))
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona", token_store=store)
+        assert excinfo.value.index == 7
+        assert calls == {"authorize": 1, "token": 1}
 
     @pytest.mark.parametrize("body", [b"<html>sign in</html>", b"[]", b"{}"])
     def test_unusable_discovery_document_fails_at_step_7(self, stub, body):
@@ -374,6 +449,30 @@ class TestTokenStore:
         with caplog.at_level(logging.WARNING, logger="mcpidg.tokenstore"):
             assert store.get("anything") is None
         assert any("corrupt" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("text", [
+        '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"entries": {"http://rs/mcp": {"access_token": "tok", "expires_at": NaN}}}',
+    ], ids=["deeply-nested", "nan-expiry"])
+    def test_file_that_is_not_rfc_8259_json_treated_as_empty_with_warning(
+        self, tmp_path, caplog, text
+    ):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with caplog.at_level(logging.WARNING, logger="mcpidg.tokenstore"):
+            assert TokenStore(str(path)).get("http://rs/mcp") is None
+        assert any("corrupt" in r.getMessage() for r in caplog.records)
+
+    def test_conformance_with_a_directory_for_a_store_exits_1_naming_it(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR, logger="mcpidg"):
+            exit_code = cli.main([
+                "conformance", "--mcp-url", "http://127.0.0.1:9/mcp",
+                "--persona", "developer", "--token-store", str(tmp_path),
+            ])
+        assert exit_code == 1
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(tmp_path) in errors[0].getMessage()
+        assert errors[0].exc_info is None
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = TokenStore(str(tmp_path / "t.json"))

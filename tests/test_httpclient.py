@@ -154,7 +154,11 @@ def test_reply_head_sent_a_byte_per_write_raises_well_inside_the_timeout():
 def test_trickling_key_endpoint_holds_no_caller_past_the_two_fetch_timeouts():
     def answer(head: bytes):
         if head.startswith(b"GET /.well-known/openid-configuration "):
-            doc = json.dumps({"issuer": server.url, "jwks_uri": f"{server.url}/jwks"}).encode()
+            doc = json.dumps({
+                "issuer": server.url, "jwks_uri": f"{server.url}/jwks",
+                "authorization_endpoint": f"{server.url}/authorize",
+                "token_endpoint": f"{server.url}/token",
+            }).encode()
             return [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(doc) + doc], True
         return [b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n{", *[0.2, b" "] * 999], True
 

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,3 +198,46 @@ def test_error_codes_exported():
     assert protocol.INVALID_PARAMS == -32602
     assert protocol.INTERNAL_ERROR == -32603
     assert -32099 <= protocol.FORBIDDEN <= -32000
+
+
+# -- one owner per outside format in the package --------------------------
+
+PACKAGE = Path(protocol.__file__).resolve().parent
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_protocol_is_the_only_json_decoder_in_the_package():
+    decoders = {"load", "loads", "JSONDecoder"}
+    found = []
+    for name, tree in _package_trees():
+        if name == "protocol.py":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+                and node.attr in decoders
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "json"
+                and decoders & {alias.name for alias in node.names}
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], "decode outside JSON with protocol.parse_json"
+
+
+def test_the_oidc_discovery_path_is_written_once():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "/.well-known/openid-configuration" in node.value
+    ]
+    assert len(found) == 1, found

@@ -511,6 +511,18 @@ class TestAudit:
         doc = mcp_post(stack.mcp_url, call, token).json()
         assert doc["error"]["code"] == -32603
 
+    @pytest.mark.parametrize(
+        "token", [None, "garbage.token.here"], ids=["no-token", "invalid-token"]
+    )
+    def test_audit_sink_failure_without_a_credential_is_503(self, tmp_path, stack, caplog, token):
+        stack.server.app.audit = AuditLog(str(tmp_path))  # a directory: every append fails
+        with caplog.at_level(logging.INFO, logger="mcpidg"):
+            reply = mcp_post(stack.mcp_url, rpc("initialize", 1), token)
+        assert (reply.status, reply.header("retry-after")) == (503, "1")
+        assert reply.header("www-authenticate") is None
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("audit sink failure: ")
+
     def test_append_failure_raises(self, tmp_path):
         sink = AuditLog(str(tmp_path))  # a directory, not a file
         with pytest.raises(AuditSinkFailure):
