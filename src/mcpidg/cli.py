@@ -135,7 +135,6 @@ def cmd_serve_mcp(args: argparse.Namespace) -> int:
         issuer_url=args.issuer,
         resource_url=args.resource,
         required_scopes=args.required_scopes,
-        jwks_ttl=args.jwks_ttl,
         audit_sink=args.audit,
     )
     registry = default_registry()
@@ -175,67 +174,9 @@ class _Checks:
             self.failed += 1
 
 
-def _check_transcript(
-    checks: _Checks,
-    transcript: harness.FlowTranscript,
-    expect_deny: bool,
-    warm: bool,
-) -> None:
-    indices = transcript.indices()
-    if warm:
-        checks.record(
-            "warm start skips challenge and token acquisition",
-            not any(i in indices for i in range(1, 10)),
-            f"steps recorded: {indices}",
-        )
-    else:
-        step1 = transcript.step(1)
-        step2 = transcript.step(2)
-        checks.record(
-            "step 1-2: unauthenticated request challenged with 401",
-            step1 is not None
-            and step2 is not None
-            and "401" in step1.response_summary,
-        )
-        checks.record(
-            "step 3-6: metadata fetched from both well-known paths, bodies equal",
-            all(i in indices for i in (3, 4, 5, 6)),
-        )
-        checks.record(
-            "step 7: authorization code obtained via PKCE (S256)",
-            7 in indices,
-        )
-        step9 = transcript.step(9)
-        checks.record(
-            "step 8-9: access token issued, no refresh token",
-            step9 is not None and "token_type=Bearer" in step9.response_summary,
-        )
-    step10 = transcript.step(10)
-    checks.record(
-        "step 10: authenticated initialize (200) and notification (202)",
-        step10 is not None
-        and "initialize -> 200" in step10.response_summary
-        and "notifications/initialized -> 202" in step10.response_summary,
-    )
-    final = transcript.step(13)
-    if expect_deny:
-        checks.record(
-            "step 13: tools/call denied as expected (JSON-RPC -32001)",
-            final is not None and "error -32001" in final.response_summary,
-            final.response_summary if final else "missing",
-        )
-    else:
-        checks.record(
-            "step 13: tools/call succeeded",
-            final is not None and "result" in final.response_summary,
-            final.response_summary if final else "missing",
-        )
-
-
 def cmd_conformance(args: argparse.Namespace) -> int:
     checks = _Checks()
     stack: LocalStack | None = None
-    capture: LogCapture | None = None
     try:
         with tempfile.TemporaryDirectory(prefix="mcpidg-conformance-") as workdir:
             if args.self_contained:
@@ -275,28 +216,39 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                 log.error("token store %r is unusable: %s", store_path, exc)
                 return EXIT_INFRASTRUCTURE
 
-            transcript = runs[0][0]
-            print(transcript.to_jsonl())
-            # A pre-populated token store makes even the first run warm.
-            first_run_warm = transcript.step(1) is None
-            _check_transcript(checks, transcript, args.expect_deny, warm=first_run_warm)
-
-            if stack is not None and not first_run_warm:
+            # run_sequence has enforced steps 1-10; judge only what it leaves open.
+            # A prefix of harness._summarize_rpc's summary: an error message
+            # that mentions "result" must not pass as one.
+            step13, wanted = (
+                ("step 13: tools/call denied as expected (JSON-RPC -32001)", "200 error -32001:")
+                if args.expect_deny
+                else ("step 13: tools/call succeeded", "200 result ")
+            )
+            for i, (transcript, idp_delta) in enumerate(runs, start=1):
+                print(transcript.to_jsonl())
+                final = transcript.final_step.response_summary
+                checks.record(step13, final.startswith(wanted), final)
+                cold = transcript.step(1) is not None
+                if i == 1:
+                    # A pre-populated token store makes even the first run warm.
+                    if stack is not None and cold:
+                        jwks = stack.idp.counters().get("jwks", 0)
+                        checks.record(
+                            "step 11-12: server validated the token via provider keys",
+                            jwks >= 1,
+                            f"jwks fetches: {jwks}",
+                        )
+                        expected = _expected_log_sequence(mask_subject(persona))
+                        checks.record(
+                            "server log ordering matches the authentication sequence",
+                            is_ordered_subsequence(expected, capture.messages),
+                        )
+                    continue
                 checks.record(
-                    "step 11-12: server validated the token via provider keys",
-                    stack.idp.counters().get("jwks", 0) >= 1,
-                    f"jwks fetches: {stack.idp.counters().get('jwks', 0)}",
+                    f"run {i}: warm start skips challenge and token acquisition",
+                    not cold,
+                    f"steps recorded: {transcript.indices()}",
                 )
-                masked = mask_subject(persona)
-                expected = _expected_log_sequence(masked)
-                checks.record(
-                    "server log ordering matches the authentication sequence",
-                    is_ordered_subsequence(expected, capture.messages),
-                )
-
-            for i, (warm_transcript, idp_delta) in enumerate(runs[1:], start=2):
-                print(warm_transcript.to_jsonl())
-                _check_transcript(checks, warm_transcript, args.expect_deny, warm=True)
                 if stack is not None:
                     checks.record(
                         f"run {i}: zero identity-provider requests (cached token reused)",
@@ -462,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda text: frozenset(s for s in text.split(",") if s),
         help="comma-separated server-wide scopes",
     )
-    p.add_argument("--jwks-ttl", type=float, default=ServerConfig.jwks_ttl)
     p.set_defaults(func=cmd_serve_mcp)
 
     p = sub.add_parser("conformance", help="drive the end-to-end authorization sequence")

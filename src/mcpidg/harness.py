@@ -199,8 +199,9 @@ def acquire_token(
 ) -> dict[str, Any]:
     """Run the authorization-code exchange; returns the token response.
 
-    Raises AuthFlowError on any provider rejection, and also when the
-    response carries a refresh_token -- this deployment never issues one.
+    Raises AuthFlowError on any provider rejection, when the token_type
+    is not Bearer, and also when the response carries a refresh_token --
+    this deployment never issues one.
     A transport failure raises OSError.
     """
     state = secrets.token_urlsafe(16)
@@ -216,7 +217,9 @@ def acquire_token(
             "username": persona,
         }
     )
-    reply = httpclient.get(f"{discovery['authorization_endpoint']}?{query}")
+    # RFC 6749 §3.1: the endpoint's own query component is kept.
+    endpoint = discovery["authorization_endpoint"]
+    reply = httpclient.get(f"{endpoint}{'&' if '?' in endpoint else '?'}{query}")
     if reply.status != 302:
         raise AuthFlowError(
             f"authorize endpoint returned {reply.status}: {reply.body.decode(errors='replace')}"
@@ -252,6 +255,10 @@ def acquire_token(
         raise AuthFlowError("token response carries a refresh_token; none may be issued")
     if not isinstance(response.get("access_token"), str):
         raise AuthFlowError("token response lacks an access_token")
+    # RFC 6749 §5.1 and §7.1: a type name, compared case-insensitively.
+    token_type = response.get("token_type")
+    if not isinstance(token_type, str) or token_type.lower() != "bearer":
+        raise AuthFlowError(f"token response token_type {token_type!r:.40} is not Bearer")
     # RFC 6749 §5.1: a number of seconds; true and false are ints in Python.
     expires_in = response.get("expires_in", 0)
     if (

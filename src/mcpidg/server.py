@@ -23,7 +23,7 @@ from .audit import AuditLog, AuditSinkFailure
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
 from .tokens import (
-    DEFAULT_JWKS_TTL, JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
+    JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
 )
 
 log = logging.getLogger("mcpidg.server")
@@ -42,7 +42,6 @@ class ServerConfig:
     issuer_url: str = "http://localhost:8081/realms/master"
     resource_url: str | None = None  # derived from bind + MCP_PATH when unset
     required_scopes: frozenset[str] = frozenset({"openid", "profile"})
-    jwks_ttl: float = DEFAULT_JWKS_TTL
     audit_sink: str = "audit.jsonl"
 
 
@@ -81,7 +80,7 @@ class McpApp:
         self.config = config
         self.policy = policy
         self.registry = registry
-        self.cache = JwksCache(config.issuer_url, ttl=config.jwks_ttl)
+        self.cache = JwksCache(config.issuer_url)
         self.audit = AuditLog(config.audit_sink)
         self.verifier_config = VerifierConfig(config.resource_url, config.required_scopes)
         origin = urlsplit(config.resource_url)

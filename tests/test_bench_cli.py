@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import signal
 import socket
 import statistics
@@ -190,6 +191,15 @@ class TestCliPolicyCheck:
         assert any("unreachable" in w for w in report["warnings"])
 
 
+# A report line naming one of the steps run_sequence itself enforces.
+STEP_1_TO_10 = re.compile(r"\bsteps? (?:[1-9]|10)(?!\d)")
+
+
+def _report_lines(out: str) -> list[str]:
+    """The conformance report: its PASS and FAIL lines, transcripts left out."""
+    return [line for line in out.splitlines() if line.startswith(("PASS - ", "FAIL - "))]
+
+
 class TestCliConformance:
     def test_expectation_mismatch_exits_two(self, capsys):
         code = cli.main([
@@ -198,8 +208,11 @@ class TestCliConformance:
             "--persona", "contractor", "--tool", "code_search",
         ])
         assert code == 2
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+        report = _report_lines(capsys.readouterr().out)
+        failures = [line for line in report if line.startswith("FAIL")]
+        assert len(failures) == 1
+        assert failures[0].startswith("FAIL - step 13: tools/call succeeded")
+        assert not any(STEP_1_TO_10.search(line) for line in report)
 
     def test_dead_target_exits_one(self):
         code = cli.main([
@@ -222,6 +235,27 @@ class TestCliConformance:
         assert code == 0
         out = capsys.readouterr().out
         assert "zero identity-provider requests" in out
+
+    def test_report_holds_only_the_checks_run_sequence_leaves_open(self, capsys):
+        code = cli.main([
+            "--log-level", "error",
+            "conformance", "--self-contained",
+            "--persona", "developer", "--repeat", "2",
+        ])
+        assert code == 0
+        report = _report_lines(capsys.readouterr().out)
+        names = [
+            "step 13: tools/call succeeded",
+            "step 11-12: server validated the token via provider keys",
+            "server log ordering matches the authentication sequence",
+            "step 13: tools/call succeeded",
+            "run 2: warm start skips challenge and token acquisition",
+            "run 2: zero identity-provider requests (cached token reused)",
+        ]
+        assert len(report) == len(names), report
+        for line, name in zip(report, names):
+            assert line.startswith(f"PASS - {name}"), (line, name)
+        assert not any(STEP_1_TO_10.search(line) for line in report)
 
 
 class TestCliBench:

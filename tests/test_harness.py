@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import logging
@@ -239,7 +240,7 @@ class TestTransportFailureAfterInitialize:
         assert excinfo.value.index == 10
         assert "refused" in excinfo.value.detail
 
-    def test_conformance_exits_1_without_traceback(self, monkeypatch, capsys):
+    def test_conformance_exits_1_without_traceback(self, monkeypatch, capsys, caplog):
         _refuse_after_initialize(monkeypatch)
         exit_code = cli.main([
             "conformance", "--self-contained",
@@ -247,6 +248,7 @@ class TestTransportFailureAfterInitialize:
         ])
         assert exit_code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not any(r.exc_info for r in caplog.records)
 
 
 class _CannedReplies:
@@ -390,11 +392,110 @@ class TestMalformedReplies:
                 discovery, "developer-persona", generate_pkce(), frozenset({"openid"})
             )
 
-    def test_conformance_exits_1_without_traceback(self, stub, capsys):
+    def test_conformance_exits_1_without_traceback(self, stub, capsys, caplog):
         mcp_url = _challenging_resource(stub, b"<html>sign in</html>")
         exit_code = cli.main(["conformance", "--mcp-url", mcp_url, "--persona", "developer"])
         assert exit_code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not any(r.exc_info for r in caplog.records)
+
+
+def _token_response(token_type) -> bytes:
+    """A token response whose token_type is ``token_type``, or absent for None."""
+    body = {"access_token": "t", "expires_in": 300}
+    if token_type is not None:
+        body["token_type"] = token_type
+    return json.dumps(body).encode()
+
+
+class TestCodeFlowPerRfc6749:
+    """The client side of the authorization-code exchange (RFC 6749 §3.1, §5.1)."""
+
+    @pytest.mark.parametrize("token_type", ["DPoP", "mac", None], ids=["dpop", "mac", "absent"])
+    def test_token_type_other_than_bearer_fails_at_step_7(self, stub, tmp_path, token_type):
+        issuer, calls = _stub_provider(stub, _token_response(token_type))
+        metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": [issuer]}
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        store = TokenStore(str(tmp_path / "tokens.json"))
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona", token_store=store)
+        assert excinfo.value.index == 7
+        assert "token_type" in excinfo.value.detail
+        assert calls == {"authorize": 1, "token": 1}
+        assert store.get(mcp_url) is None
+
+    @pytest.mark.parametrize("token_type", ["Bearer", "bearer", "BEARER"])
+    def test_bearer_in_any_case_is_accepted(self, stub, token_type):
+        issuer, _ = _stub_provider(stub, _token_response(token_type))
+        response = acquire_token(
+            discover_oidc(issuer), "developer-persona", generate_pkce(), frozenset({"openid"})
+        )
+        assert response["token_type"] == token_type
+
+    def test_conformance_with_a_dpop_token_exits_1_at_step_7(self, monkeypatch, capsys, caplog):
+        real_post = httpclient.post
+
+        def post(url, body, headers=None, timeout=10.0):
+            reply = real_post(url, body, headers, timeout)
+            if b"grant_type=authorization_code" in body:
+                doc = {**json.loads(reply.body), "token_type": "DPoP"}
+                reply = dataclasses.replace(reply, body=json.dumps(doc).encode())
+            return reply
+
+        monkeypatch.setattr(httpclient, "post", post)
+        exit_code = cli.main(["conformance", "--self-contained", "--persona", "developer"])
+        assert exit_code == 1
+        assert "FAIL" not in capsys.readouterr().out
+        assert any("failed at step 7" in r.getMessage() for r in caplog.records)
+        assert not any(r.exc_info for r in caplog.records)
+
+    def test_authorize_endpoint_query_is_kept(self, stub):
+        issuer = f"{stub.base}/realms/x"
+        _stub_provider(
+            stub, _token_response("Bearer"), authorization_endpoint=f"{issuer}/authorize?tenant=acme"
+        )
+        authorize = stub.routes["GET", "/realms/x/authorize"]
+        queries = []
+
+        def recording(query, headers, body):
+            queries.append(parse_qs(query))
+            return authorize(query, headers, body)
+
+        stub.routes["GET", "/realms/x/authorize"] = recording
+        acquire_token(discover_oidc(issuer), "developer-persona", generate_pkce(), frozenset({"openid"}))
+        [params] = queries
+        assert params["tenant"] == ["acme"]
+        assert params["response_type"] == ["code"]
+        assert params["code_challenge_method"] == ["S256"]
+
+
+class TestStepThirteen:
+    """The conformance report judges the final tools/call by its outcome, not its wording."""
+
+    @pytest.mark.parametrize("expect_deny, message", [
+        (False, "no result"), (True, "error -32001 upstream"),
+    ], ids=["error-mentioning-result", "other-error-mentioning-32001"])
+    def test_another_error_fails_step_13(self, stub, tmp_path, capsys, expect_deny, message):
+        def mcp(query, headers, body):
+            doc = json.loads(body)
+            if "id" not in doc:
+                return httpserve.Reply(202, {}, b"")
+            if doc["method"] == "tools/call":
+                reply = {"error": {"code": -32603, "message": message}}
+            else:
+                reply = {"result": {}}
+            reply.update(jsonrpc="2.0", id=doc["id"])
+            return httpserve.Reply(200, {"Content-Type": "application/json"}, json.dumps(reply).encode())
+
+        stub.routes["POST", "/mcp"] = mcp
+        mcp_url = f"{stub.base}/mcp"
+        store_path = str(tmp_path / "tokens.json")
+        TokenStore(store_path).put(mcp_url, "tok", expires_at=9_999_999_999)
+        argv = ["conformance", "--mcp-url", mcp_url, "--persona", "developer",
+                "--token-store", store_path]
+        assert cli.main(argv + ["--expect-deny"] * expect_deny) == 2
+        failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failures) == 1 and failures[0].startswith("FAIL - step 13:")
 
 
 class TestUnusableUrls:
@@ -414,11 +515,12 @@ class TestUnusableUrls:
         assert excinfo.value.index == 3
 
     @pytest.mark.parametrize("url", URLS)
-    def test_conformance_exits_1_without_traceback(self, stub, capsys, url):
+    def test_conformance_exits_1_without_traceback(self, stub, capsys, caplog, url):
         mcp_url = self._challenge_naming(stub, url)
         exit_code = cli.main(["conformance", "--mcp-url", mcp_url, "--persona", "developer"])
         assert exit_code == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not any(r.exc_info for r in caplog.records)
 
 
 class TestTokenStore:
