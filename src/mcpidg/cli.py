@@ -15,15 +15,15 @@ import signal
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any
 
 from . import __version__, bench as bench_mod, harness, protocol
-from .httpserve import BindFailure
+from .httpserve import BindFailure, HttpServer
 from .idp import IdpConfig, default_users, load_fixtures, serve_idp
 from .policy import PolicyError, PolicyTable, load_policy_file
 from .server import ServerConfig, serve
-from .stack import LocalStack, start_stack
+from .stack import start_stack
 from .tokens import DISCOVERY_PATH, mask_subject
 from .tokenstore import TokenStore
 from .tools import default_policy, default_registry
@@ -61,11 +61,9 @@ class LogCapture(logging.Handler):
     def __init__(self) -> None:
         super().__init__(level=logging.INFO)
         self.messages: list[str] = []
-        self._lock_ = threading.Lock()
 
     def emit(self, record: logging.LogRecord) -> None:
-        with self._lock_:
-            self.messages.append(record.getMessage())
+        self.messages.append(record.getMessage())  # Handler.handle holds self.lock
 
 
 @contextmanager
@@ -93,15 +91,17 @@ def resolve_persona(name: str, usernames: list[str]) -> str:
     return name
 
 
-def _wait_for_signal() -> None:
+def _serve_until_signalled(handle: HttpServer, name: str, *ready_lines: str) -> int:
+    """Log the ready lines, serve until SIGINT or SIGTERM, then stop gracefully."""
     stop = threading.Event()
-
-    def handler(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGINT, handler)
-    signal.signal(signal.SIGTERM, handler)
-    stop.wait()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda signum, frame: stop.set())
+    with handle:
+        for line in ready_lines:
+            log.info("%s", line)
+        stop.wait()
+    log.info("%s stopped", name)
+    return EXIT_OK
 
 
 # -- serve commands ----------------------------------------------------------
@@ -116,17 +116,12 @@ def cmd_serve_idp(args: argparse.Namespace) -> int:
         except (OSError, protocol.ParseError, ValueError) as exc:  # ValueError: the shape
             log.error("cannot load fixtures %r: %s", args.fixtures, exc)
             return EXIT_INFRASTRUCTURE
-    try:
-        handle = serve_idp(IdpConfig(args.bind, args.issuer, args.audience, users, clients))
-    except BindFailure as exc:
-        log.error("%s", exc)
-        return EXIT_INFRASTRUCTURE
-    log.info("identity provider ready; issuer %s", handle.issuer)
-    log.info("discovery: %s%s", handle.issuer, DISCOVERY_PATH)
-    with handle:
-        _wait_for_signal()
-    log.info("identity provider stopped")
-    return EXIT_OK
+    handle = serve_idp(IdpConfig(args.bind, args.issuer, args.audience, users, clients))
+    return _serve_until_signalled(
+        handle, "identity provider",
+        f"identity provider ready; issuer {handle.issuer}",
+        f"discovery: {handle.issuer}{DISCOVERY_PATH}",
+    )
 
 
 def cmd_serve_mcp(args: argparse.Namespace) -> int:
@@ -146,17 +141,12 @@ def cmd_serve_mcp(args: argparse.Namespace) -> int:
     except (OSError, PolicyError) as exc:
         log.error("cannot load policy %r: %s", args.policy, exc)
         return EXIT_INFRASTRUCTURE
-    try:
-        handle = serve(config, policy, registry)
-    except BindFailure as exc:
-        log.error("%s", exc)
-        return EXIT_INFRASTRUCTURE
-    log.info("resource server ready at %s", handle.resource_url)
-    log.info("protected-resource metadata: %s", handle.metadata_url)
-    with handle:
-        _wait_for_signal()
-    log.info("resource server stopped")
-    return EXIT_OK
+    handle = serve(config, policy, registry)
+    return _serve_until_signalled(
+        handle, "resource server",
+        f"resource server ready at {handle.resource_url}",
+        f"protected-resource metadata: {handle.metadata_url}",
+    )
 
 
 # -- conformance -------------------------------------------------------------
@@ -175,92 +165,84 @@ class _Checks:
 
 
 def cmd_conformance(args: argparse.Namespace) -> int:
-    checks = _Checks()
-    stack: LocalStack | None = None
-    try:
-        with tempfile.TemporaryDirectory(prefix="mcpidg-conformance-") as workdir:
-            if args.self_contained:
-                stack = start_stack(audit_path=f"{workdir}/audit.jsonl")
-                mcp_url = stack.mcp_url
-                usernames = sorted(stack.idp.core.users)
-            elif args.mcp_url:
-                mcp_url = args.mcp_url
-                usernames = [u.username for u in default_users()]
-            else:
-                log.error("either --self-contained or --mcp-url is required")
-                return EXIT_INFRASTRUCTURE
-            persona = resolve_persona(args.persona, usernames)
-            store_path = args.token_store or f"{workdir}/tokens.json"
-            store = TokenStore(store_path)
-
-            # Each run's transcript and the identity-provider requests it made.
-            runs: list[tuple[harness.FlowTranscript, int]] = []
-            try:
-                with capture_package_logs() as capture:
-                    for _ in range(max(1, args.repeat)):
-                        before = stack.idp.total_requests if stack else -1
-                        transcript = harness.run_sequence(
-                            mcp_url,
-                            persona,
-                            tool=args.tool,
-                            token_store=store,
-                            bearer_mode=args.bearer_mode,
-                        )
-                        after = stack.idp.total_requests if stack else -1
-                        runs.append((transcript, after - before))
-            except harness.StepFailure as exc:
-                print(exc.transcript.to_jsonl(), file=sys.stdout)
-                log.error("sequence failed at step %d: %s", exc.index, exc.detail)
-                return EXIT_INFRASTRUCTURE
-            except OSError as exc:  # the token store; run_sequence maps network errors to steps
-                log.error("token store %r is unusable: %s", store_path, exc)
-                return EXIT_INFRASTRUCTURE
-
-            # run_sequence has enforced steps 1-10; judge only what it leaves open.
-            # A prefix of harness._summarize_rpc's summary: an error message
-            # that mentions "result" must not pass as one.
-            step13, wanted = (
-                ("step 13: tools/call denied as expected (JSON-RPC -32001)", "200 error -32001:")
-                if args.expect_deny
-                else ("step 13: tools/call succeeded", "200 result ")
-            )
-            for i, (transcript, idp_delta) in enumerate(runs, start=1):
-                print(transcript.to_jsonl())
-                final = transcript.final_step.response_summary
-                checks.record(step13, final.startswith(wanted), final)
-                cold = transcript.step(1) is not None
-                if i == 1:
-                    # A pre-populated token store makes even the first run warm.
-                    if stack is not None and cold:
-                        jwks = stack.idp.counters().get("jwks", 0)
-                        checks.record(
-                            "step 11-12: server validated the token via provider keys",
-                            jwks >= 1,
-                            f"jwks fetches: {jwks}",
-                        )
-                        expected = _expected_log_sequence(mask_subject(persona))
-                        checks.record(
-                            "server log ordering matches the authentication sequence",
-                            is_ordered_subsequence(expected, capture.messages),
-                        )
-                    continue
-                checks.record(
-                    f"run {i}: warm start skips challenge and token acquisition",
-                    not cold,
-                    f"steps recorded: {transcript.indices()}",
-                )
-                if stack is not None:
-                    checks.record(
-                        f"run {i}: zero identity-provider requests (cached token reused)",
-                        idp_delta == 0,
-                        f"idp request delta: {idp_delta}",
-                    )
-    except BindFailure as exc:
-        log.error("%s", exc)
+    if not (args.self_contained or args.mcp_url):
+        log.error("either --self-contained or --mcp-url is required")
         return EXIT_INFRASTRUCTURE
-    finally:
+    checks = _Checks()
+    # The stack stops before its audit log's directory is removed.
+    with tempfile.TemporaryDirectory(prefix="mcpidg-conformance-") as workdir, (
+        start_stack(audit_path=f"{workdir}/audit.jsonl") if args.self_contained else nullcontext()
+    ) as stack:
         if stack is not None:
-            stack.stop()
+            mcp_url, usernames = stack.mcp_url, sorted(stack.idp.core.users)
+        else:
+            mcp_url, usernames = args.mcp_url, [u.username for u in default_users()]
+        persona = resolve_persona(args.persona, usernames)
+        store_path = args.token_store or f"{workdir}/tokens.json"
+        store = TokenStore(store_path)
+
+        # Each run's transcript and the identity-provider requests it made.
+        runs: list[tuple[harness.FlowTranscript, int]] = []
+        try:
+            with capture_package_logs() as capture:
+                for _ in range(max(1, args.repeat)):
+                    before = stack.idp.total_requests if stack else -1
+                    transcript = harness.run_sequence(
+                        mcp_url,
+                        persona,
+                        tool=args.tool,
+                        token_store=store,
+                        bearer_mode=args.bearer_mode,
+                    )
+                    after = stack.idp.total_requests if stack else -1
+                    runs.append((transcript, after - before))
+        except harness.StepFailure as exc:
+            print(exc.transcript.to_jsonl())
+            log.error("sequence failed at step %d: %s", exc.index, exc.detail)
+            return EXIT_INFRASTRUCTURE
+        except OSError as exc:  # the token store; run_sequence maps network errors to steps
+            log.error("token store %r is unusable: %s", store_path, exc)
+            return EXIT_INFRASTRUCTURE
+
+        # run_sequence has enforced steps 1-10; judge only what it leaves open.
+        # A prefix of harness._summarize_rpc's summary: an error message
+        # that mentions "result" must not pass as one.
+        step13, wanted = (
+            ("step 13: tools/call denied as expected (JSON-RPC -32001)", "200 error -32001:")
+            if args.expect_deny
+            else ("step 13: tools/call succeeded", "200 result ")
+        )
+        for i, (transcript, idp_delta) in enumerate(runs, start=1):
+            print(transcript.to_jsonl())
+            final = transcript.final_step.response_summary
+            checks.record(step13, final.startswith(wanted), final)
+            cold = transcript.step(1) is not None
+            if i == 1:
+                # A pre-populated token store makes even the first run warm.
+                if stack is not None and cold:
+                    jwks = stack.idp.counters().get("jwks", 0)
+                    checks.record(
+                        "step 11-12: server validated the token via provider keys",
+                        jwks >= 1,
+                        f"jwks fetches: {jwks}",
+                    )
+                    expected = _expected_log_sequence(mask_subject(persona))
+                    checks.record(
+                        "server log ordering matches the authentication sequence",
+                        is_ordered_subsequence(expected, capture.messages),
+                    )
+                continue
+            checks.record(
+                f"run {i}: warm start skips challenge and token acquisition",
+                not cold,
+                f"steps recorded: {transcript.indices()}",
+            )
+            if stack is not None:
+                checks.record(
+                    f"run {i}: zero identity-provider requests (cached token reused)",
+                    idp_delta == 0,
+                    f"idp request delta: {idp_delta}",
+                )
     return EXIT_OK if checks.failed == 0 else EXIT_MISMATCH
 
 
@@ -272,44 +254,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
         list(bench_mod.SCENARIOS) if args.scenario == "all" else [args.scenario]
     )
     reports: list[dict[str, Any]] = []
-    with tempfile.TemporaryDirectory(prefix="mcpidg-bench-") as workdir:
-        try:
-            stack = start_stack(audit_path=f"{workdir}/audit.jsonl")
-        except BindFailure as exc:
-            log.error("%s", exc)
-            return EXIT_INFRASTRUCTURE
-        try:
-            persona = resolve_persona(args.persona, sorted(stack.idp.core.users))
-            for scenario in scenarios:
-                kwargs: dict[str, Any] = {"persona": persona}
-                if args.iterations is not None:
-                    kwargs["iterations"] = args.iterations
-                if scenario == bench_mod.SCENARIO_CACHE_HIT:
-                    report = bench_mod.bench_cache_hit(
-                        stack.idp.core, stack.server.resource_url, **kwargs
-                    )
-                elif scenario == bench_mod.SCENARIO_CACHE_MISS:
-                    report = bench_mod.bench_cache_miss(
-                        stack.idp.core, stack.server.resource_url, **kwargs
-                    )
-                else:
-                    report = bench_mod.bench_end_to_end(
-                        stack.idp.core,
-                        stack.mcp_url,
-                        tool=args.tool,
-                        server_cache=stack.server.app.cache,
-                        **kwargs,
-                    )
-                log.info(
-                    "%s: p50=%dus p95=%dus over %d samples",
-                    scenario, report.p50_us, report.p95_us, report.samples,
+    with tempfile.TemporaryDirectory(prefix="mcpidg-bench-") as workdir, start_stack(
+        audit_path=f"{workdir}/audit.jsonl"
+    ) as stack:
+        kwargs: dict[str, Any] = {
+            "persona": resolve_persona(args.persona, sorted(stack.idp.core.users))
+        }
+        if args.iterations is not None:
+            kwargs["iterations"] = args.iterations
+        for scenario in scenarios:
+            if scenario == bench_mod.SCENARIO_CACHE_HIT:
+                report = bench_mod.bench_cache_hit(
+                    stack.idp.core, stack.server.resource_url, **kwargs
                 )
-                reports.append(report.to_dict())
-        except bench_mod.InsufficientSamples as exc:
-            log.error("%s", exc)
-            return EXIT_INFRASTRUCTURE
-        finally:
-            stack.stop()
+            elif scenario == bench_mod.SCENARIO_CACHE_MISS:
+                report = bench_mod.bench_cache_miss(
+                    stack.idp.core, stack.server.resource_url, **kwargs
+                )
+            else:
+                report = bench_mod.bench_end_to_end(
+                    stack.idp.core,
+                    stack.mcp_url,
+                    tool=args.tool,
+                    server_cache=stack.server.app.cache,
+                    **kwargs,
+                )
+            log.info(
+                "%s: p50=%dus p95=%dus over %d samples",
+                scenario, report.p50_us, report.p95_us, report.samples,
+            )
+            reports.append(report.to_dict())
     print(json.dumps({"reports": reports}, indent=2))
     return EXIT_OK
 
@@ -461,7 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     # still honor the requested verbosity.
     for handler in logging.getLogger().handlers:
         handler.setLevel(level)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BindFailure, bench_mod.InsufficientSamples) as exc:
+        log.error("%s", exc)
+        return EXIT_INFRASTRUCTURE
 
 
 if __name__ == "__main__":

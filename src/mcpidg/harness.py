@@ -22,7 +22,7 @@ import secrets
 import sys
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 from urllib.parse import parse_qs, urlencode, urlsplit
 
@@ -67,15 +67,6 @@ class StepRecord:
     response_summary: str
     wall_latency_us: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "description": self.description,
-            "request_summary": self.request_summary,
-            "response_summary": self.response_summary,
-            "wall_latency_us": self.wall_latency_us,
-        }
-
 
 @dataclass
 class FlowTranscript:
@@ -113,7 +104,7 @@ class FlowTranscript:
         return self.steps[-1]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(s.to_dict(), separators=(",", ":")) for s in self.steps)
+        return "\n".join(json.dumps(asdict(s), separators=(",", ":")) for s in self.steps)
 
 
 @dataclass(frozen=True)
@@ -452,6 +443,9 @@ def _cold_start(
         raise fail(4, "resource metadata 'resource' is not a string")
     if not isinstance(servers, list) or not all(isinstance(s, str) for s in servers):
         raise fail(4, "resource metadata 'authorization_servers' is not an array of strings")
+    # RFC 9728 §3.3 and §7.3: metadata for another resource is an impersonation.
+    if resource != mcp_url:
+        raise fail(4, f"resource metadata names resource {resource!r:.80}, not {mcp_url!r}")
     transcript.add(
         3, "GET resource metadata (challenge URL)", f"GET {metadata_url}",
         f"status {meta_reply.status}", timer.elapsed_us,

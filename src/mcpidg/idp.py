@@ -68,6 +68,10 @@ class UnknownUser(IdpError):
     oauth_error = "access_denied"
 
 
+class UnsupportedGrantType(IdpError):
+    oauth_error = "unsupported_grant_type"
+
+
 class InvalidGrant(IdpError):
     oauth_error = "invalid_grant"
 
@@ -366,10 +370,12 @@ class MockIdp:
 
     def handle_token(self, params: dict[str, str]) -> dict[str, Any]:
         """Redeem a code for an access token; never issues refresh tokens."""
-        if params.get("grant_type") != "authorization_code":
-            raise IdpError(
-                f"grant_type {params.get('grant_type')!r} unsupported "
-                "(authorization_code only)"
+        grant_type = params.get("grant_type")
+        if grant_type is None:
+            raise IdpError("grant_type is required")
+        if grant_type != "authorization_code":
+            raise UnsupportedGrantType(
+                f"grant_type {grant_type!r:.40} unsupported (authorization_code only)"
             )
         code = params.get("code", "")
         verifier = params.get("code_verifier", "")
@@ -418,12 +424,16 @@ def _error_reply(exc: IdpError) -> Reply:
 
 
 def _form(data: str | bytes) -> dict[str, str]:
-    """The first value of each field; IdpError if not UTF-8 or past MAX_FORM_FIELDS."""
+    """The fields of a form; IdpError if not UTF-8, past MAX_FORM_FIELDS or repeating
+    one (RFC 6749 §3.1; a field without a value counts as omitted, as parse_qs does)."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         fields = parse_qs(text, max_num_fields=MAX_FORM_FIELDS)
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise IdpError(f"unusable form: {exc}") from None
+    for name, values in fields.items():
+        if len(values) > 1:
+            raise IdpError(f"parameter {name!r:.40} is repeated")
     return {k: v[0] for k, v in fields.items()}
 
 

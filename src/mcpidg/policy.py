@@ -116,8 +116,7 @@ def load_policy(document: dict[str, Any], registry: ToolRegistry) -> PolicyTable
     """
     if not isinstance(document, dict) or not isinstance(document.get("rules"), list):
         raise PolicyFormatError("policy document must carry a 'rules' array")
-    merged: dict[str, tuple[set[str], set[str]]] = {}
-    order: list[str] = []
+    merged: dict[str, tuple[set[str], set[str]]] = {}  # in first-seen role order
     for i, entry in enumerate(document["rules"]):
         if not isinstance(entry, dict):
             raise PolicyFormatError(f"rules[{i}] must be an object")
@@ -133,20 +132,13 @@ def load_policy(document: dict[str, Any], registry: ToolRegistry) -> PolicyTable
         for tool in tools:
             if tool not in registry:
                 raise UnknownToolInPolicy(tool, role)
-        if role not in merged:
-            merged[role] = (set(), set())
-            order.append(role)
-        merged[role][0].update(scopes)
-        merged[role][1].update(tools)
-    rules = tuple(
-        PolicyRule(
-            role=role,
-            granted_scopes=frozenset(merged[role][0]),
-            allowed_tools=frozenset(merged[role][1]),
-        )
-        for role in order
-    )
-    return PolicyTable(rules=rules)
+        granted, allowed = merged.setdefault(role, (set(), set()))
+        granted.update(scopes)
+        allowed.update(tools)
+    return PolicyTable(rules=tuple(
+        PolicyRule(role, frozenset(granted), frozenset(allowed))
+        for role, (granted, allowed) in merged.items()
+    ))
 
 
 def load_policy_file(path: str, registry: ToolRegistry) -> PolicyTable:

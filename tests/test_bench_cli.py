@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import json
+import os
 import re
 import signal
 import socket
@@ -16,6 +18,7 @@ import oracles
 from mcpidg import bench, cli, harness, httpclient
 from mcpidg.cli import is_ordered_subsequence, policy_report, resolve_persona
 from mcpidg.policy import PolicyTable, load_policy
+from mcpidg.stack import LocalStack
 from mcpidg.tools import default_registry
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -276,6 +279,59 @@ class TestCliBench:
             "bench", "--scenario", "cache_hit", "--iterations", "3",
         ])
         assert code == 1
+
+
+class TestStackLifetime:
+    @pytest.mark.parametrize("argv", [
+        ["conformance", "--self-contained", "--persona", "developer"],
+        ["bench", "--scenario", "cache_miss", "--iterations", "20"],
+    ], ids=["conformance", "bench"])
+    def test_stack_stops_while_its_directory_exists(self, monkeypatch, argv):
+        seen = []
+        real_stop = LocalStack.stop
+
+        def stop(stack):
+            seen.append(os.path.isdir(os.path.dirname(stack.audit_path)))
+            real_stop(stack)
+
+        monkeypatch.setattr(LocalStack, "stop", stop)
+        assert cli.main(["--log-level", "error", *argv]) == 0
+        assert seen == [True]
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+def test_cli_has_one_failure_exit_and_stops_stacks_by_context_manager():
+    """A bind failure or too few samples ends in main's one handler, and each
+    self-contained stack stops when its with block ends, inside its temp directory."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for failure in ("BindFailure", "InsufficientSamples"):
+        handlers = [
+            function.name
+            for function in functions
+            for node in ast.walk(function)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and failure in _names(node.type)
+        ]
+        assert handlers == ["main"], failure
+    stack_calls = {
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "start_stack"
+    }
+    entered = {
+        node.lineno for item in ast.walk(tree) if isinstance(item, ast.withitem)
+        for node in ast.walk(item.context_expr) if isinstance(node, ast.Call)
+    }
+    assert stack_calls and stack_calls <= entered, "each stack lives in a with block"
+    stops = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "stop"
+    ]
+    assert stops == [], "a stack is stopped by leaving its with block"
 
 
 class TestServeCommands:

@@ -93,6 +93,17 @@ class TestTranscriptModel:
         lines = t.to_jsonl().splitlines()
         assert json.loads(lines[0])["index"] == 1
 
+    def test_jsonl_keeps_its_field_order_and_separators(self):
+        t = FlowTranscript()
+        t.add(1, "a", "req", "resp", 12)
+        t.add(2, "b", "(response to step 1)", "s")
+        assert t.to_jsonl() == (
+            '{"index":1,"description":"a","request_summary":"req",'
+            '"response_summary":"resp","wall_latency_us":12}\n'
+            '{"index":2,"description":"b","request_summary":"(response to step 1)",'
+            '"response_summary":"s","wall_latency_us":0}'
+        )
+
 
 class TestColdSequence:
     def test_developer_docs_search_thirteen_steps(self, stack):
@@ -376,7 +387,7 @@ class TestMalformedReplies:
 
     @pytest.mark.parametrize("body", [b"<html>sign in</html>", b"[]", b"{}"])
     def test_unusable_discovery_document_fails_at_step_7(self, stub, body):
-        metadata = {"resource": "http://rs/mcp", "authorization_servers": [f"{stub.base}/realms/x"]}
+        metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": [f"{stub.base}/realms/x"]}
         mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
         stub.replies["/realms/x/.well-known/openid-configuration"] = (200, body, {})
         with pytest.raises(StepFailure) as excinfo:
@@ -617,3 +628,190 @@ class TestTokenStore:
         doc = json.loads((tmp_path / "t.json").read_text())
         assert set(doc["entries"]) <= {f"http://{n}/mcp" for n in "abcd"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+
+def _provider_behind_resource(stub, token_body: bytes = b"{}"):
+    """Make the stub both a challenging resource and its provider; returns the MCP URL."""
+    issuer, calls = _stub_provider(stub, token_body)
+    metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": [issuer]}
+    return _challenging_resource(stub, json.dumps(metadata).encode()), calls
+
+
+class TestResourceMetadataNamesTheRequestedResource:
+    """RFC 9728 §3.3 and §7.3: metadata for another resource fails step 4."""
+
+    @pytest.mark.parametrize("resource", [
+        "http://attacker.example/mcp", "{base}/mcp/", "{base}/other", None,
+    ], ids=["attacker", "trailing-slash", "other-path", "absent"])
+    def test_fails_at_step_4_before_the_code_flow(self, stub, resource):
+        issuer, calls = _stub_provider(stub)
+        metadata = {"authorization_servers": [issuer]}
+        if resource is not None:
+            metadata["resource"] = resource.format(base=stub.base)
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona")
+        assert excinfo.value.index == 4
+        assert repr(mcp_url) in excinfo.value.detail
+        assert excinfo.value.transcript.indices() == [1, 2]
+        assert calls == {}
+
+    def test_conformance_against_rewritten_metadata_exits_1_at_step_4(
+        self, monkeypatch, capsys, caplog
+    ):
+        real_get = httpclient.get
+
+        def get(url, headers=None, timeout=10.0):
+            reply = real_get(url, headers, timeout)
+            if "/.well-known/oauth-protected-resource" in url:
+                doc = {**json.loads(reply.body), "resource": "http://attacker.example/mcp"}
+                reply = dataclasses.replace(reply, body=json.dumps(doc).encode())
+            return reply
+
+        monkeypatch.setattr(httpclient, "get", get)
+        with caplog.at_level(logging.ERROR, logger="mcpidg"):
+            exit_code = cli.main(["conformance", "--self-contained", "--persona", "developer"])
+        assert exit_code == 1
+        assert "FAIL" not in capsys.readouterr().out
+        [error] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.startswith("sequence failed at step 4:")
+        assert "attacker.example" in error
+
+
+def _mcp_answering(stub, statuses: dict[str, int]) -> str:
+    """Route /mcp: each method gets 200 with a result (a notification 202), or its status here."""
+
+    def mcp(query, headers, body):
+        doc = json.loads(body)
+        status = statuses.get(doc["method"], 200 if "id" in doc else 202)
+        reply = {"jsonrpc": "2.0", "id": doc.get("id"), "result": {}}
+        payload = json.dumps(reply).encode() if status == 200 else b""
+        return httpserve.Reply(status, {"Content-Type": "application/json"}, payload)
+
+    stub.routes["POST", "/mcp"] = mcp
+    return f"{stub.base}/mcp"
+
+
+class TestEveryStepExit:
+    """Each way a step can fail names its step and says why."""
+
+    @staticmethod
+    def _fails(mcp_url, index, store=None):
+        with pytest.raises(StepFailure) as excinfo:
+            run_sequence(mcp_url, "developer-persona", token_store=store)
+        assert excinfo.value.index == index
+        return excinfo.value
+
+    @pytest.mark.parametrize("statuses, detail", [
+        ({"initialize": 401}, "server rejected the bearer token on initialize"),
+        ({"initialize": 500}, "initialize returned 500"),
+        ({"notifications/initialized": 200},
+         "initialized notification returned 200, wanted 202"),
+        ({"tools/list": 403}, "tools/list returned 403"),
+        ({"tools/call": 401}, "server rejected the bearer token on tools/call"),
+        ({"tools/call": 503}, "tools/call returned 503"),
+    ], ids=["initialize-401", "initialize-500", "notification-200", "list-403", "call-401",
+            "call-503"])
+    def test_step_10(self, stub, tmp_path, statuses, detail):
+        mcp_url = _mcp_answering(stub, statuses)
+        store = TokenStore(str(tmp_path / "tokens.json"))
+        store.put(mcp_url, "tok", expires_at=9_999_999_999)
+        failure = self._fails(mcp_url, 10, store)
+        assert failure.detail == detail
+        assert failure.transcript.steps == []
+
+    def test_step_2_status_other_than_401(self, stub):
+        mcp_url = _mcp_answering(stub, {})
+        failure = self._fails(mcp_url, 2)
+        assert failure.detail == "expected 401 challenge, got 200"
+        assert failure.transcript.indices() == [1]
+
+    def test_step_2_challenge_without_resource_metadata(self, stub):
+        mcp_url = _challenging_resource(stub, b"{}")
+        stub.replies["/mcp"] = (401, b"", {"WWW-Authenticate": 'Bearer error="invalid_token"'})
+        failure = self._fails(mcp_url, 2)
+        assert failure.detail == "401 challenge lacks a resource_metadata parameter"
+
+    def test_step_4_metadata_status_other_than_200(self, stub):
+        mcp_url = _challenging_resource(stub, b"{}")
+        stub.replies["/.well-known/oauth-protected-resource"] = (404, b"", {})
+        failure = self._fails(mcp_url, 4)
+        assert failure.detail == "metadata endpoint returned 404"
+
+    def test_step_5_suffixed_metadata_unreachable(self, stub, monkeypatch):
+        mcp_url, _ = _provider_behind_resource(stub)
+        real_get = httpclient.get
+
+        def get(url, headers=None, timeout=10.0):
+            if url.endswith("/oauth-protected-resource/mcp"):
+                raise ConnectionRefusedError("connection refused")
+            return real_get(url, headers, timeout)
+
+        monkeypatch.setattr(httpclient, "get", get)
+        failure = self._fails(mcp_url, 5)
+        assert failure.detail == "suffixed metadata fetch failed: connection refused"
+        assert failure.transcript.indices() == [1, 2, 3, 4]
+
+    def test_step_6_suffixed_metadata_status_other_than_200(self, stub):
+        mcp_url, _ = _provider_behind_resource(stub)
+        stub.replies["/.well-known/oauth-protected-resource/mcp"] = (404, b"", {})
+        failure = self._fails(mcp_url, 6)
+        assert failure.detail == "suffixed metadata endpoint returned 404"
+
+    def test_step_6_suffixed_metadata_differs(self, stub):
+        issuer, calls = _stub_provider(stub)
+        metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": [issuer]}
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        stub.replies["/.well-known/oauth-protected-resource/mcp"] = (
+            200, json.dumps(metadata, indent=1).encode(), {}
+        )
+        failure = self._fails(mcp_url, 6)
+        assert failure.detail == "metadata documents at the two well-known paths differ"
+        assert calls == {}
+
+    def test_step_7_metadata_without_authorization_servers(self, stub):
+        metadata = {"resource": f"{stub.base}/mcp", "authorization_servers": []}
+        mcp_url = _challenging_resource(stub, json.dumps(metadata).encode())
+        failure = self._fails(mcp_url, 7)
+        assert failure.detail == "metadata names no authorization servers"
+        assert failure.transcript.indices() == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("location, detail", [
+        ("http://cb.test/?state={state}", "redirect carries no authorization code"),
+        ("http://cb.test/?code=c&state=other", "state parameter was not echoed back intact"),
+    ], ids=["no-code", "state-not-echoed"])
+    def test_step_7_unusable_redirect(self, stub, tmp_path, location, detail):
+        mcp_url, calls = _provider_behind_resource(stub)
+
+        def authorize(query, headers, body):
+            calls["authorize"] += 1
+            state = parse_qs(query)["state"][0]
+            return httpserve.Reply(302, {"Location": location.format(state=state)})
+
+        stub.routes["GET", "/realms/x/authorize"] = authorize
+        store = TokenStore(str(tmp_path / "tokens.json"))
+        failure = self._fails(mcp_url, 7, store)
+        assert failure.detail == detail
+        assert calls == {"authorize": 1}
+        assert store.get(mcp_url) is None
+
+    def test_step_7_token_endpoint_status_other_than_200(self, stub):
+        mcp_url, _ = _provider_behind_resource(stub)
+        stub.routes["POST", "/realms/x/token"] = lambda query, headers, body: httpserve.Reply(
+            400, {"Content-Type": "application/json"}, b'{"error":"invalid_grant"}'
+        )
+        failure = self._fails(mcp_url, 7)
+        assert failure.detail == 'token endpoint returned 400: {"error":"invalid_grant"}'
+
+    @pytest.mark.parametrize("token_body, detail", [
+        (b'{"access_token":"t","token_type":"Bearer","expires_in":300,"refresh_token":"r"}',
+         "token response carries a refresh_token; none may be issued"),
+        (b'{"token_type":"Bearer","expires_in":300}', "token response lacks an access_token"),
+    ], ids=["refresh-token", "no-access-token"])
+    def test_step_7_token_response_refused(self, stub, tmp_path, token_body, detail):
+        mcp_url, calls = _provider_behind_resource(stub, token_body)
+        store = TokenStore(str(tmp_path / "tokens.json"))
+        failure = self._fails(mcp_url, 7, store)
+        assert failure.detail == detail
+        assert calls == {"authorize": 1, "token": 1}
+        assert store.get(mcp_url) is None

@@ -54,6 +54,13 @@ def token_params(code, pkce, **overrides):
     return params
 
 
+def _post_token(stack, form: str):
+    return httpclient.post(
+        f"{stack.issuer}/token", form.encode(),
+        {"Content-Type": "application/x-www-form-urlencoded"},
+    )
+
+
 class TestAuthorize:
     def test_happy_path_redirects_with_code_and_state(self, idp_core):
         pkce = generate_pkce()
@@ -391,6 +398,38 @@ class TestHttpSurface:
         reply = httpclient.get(f"{stack.issuer}/authorize?{urlencode(params)}")
         assert reply.status == 400
         assert reply.json()["error"] == "invalid_request"
+
+    @pytest.mark.parametrize("repeat", ["username=operator-persona", "state=abc"])
+    def test_repeated_authorize_parameter_is_invalid_request(self, stack, repeat):
+        query = f"{urlencode(authorize_params(generate_pkce()))}&{repeat}"
+        reply = httpclient.get(f"{stack.issuer}/authorize?{query}")
+        assert reply.status == 400  # RFC 6749 §3.1: no parameter more than once
+        assert reply.json()["error"] == "invalid_request"
+        assert "repeated" in reply.json()["error_description"]
+
+    def test_repeated_token_parameter_is_invalid_request_and_keeps_the_code(self, stack):
+        pkce = generate_pkce()
+        query = urlencode(authorize_params(pkce))
+        code = code_from(httpclient.get(f"{stack.issuer}/authorize?{query}").header("location"))
+        form = urlencode(token_params(code, pkce))
+        reply = _post_token(stack, f"{form}&code_verifier={'A' * 43}")
+        assert reply.status == 400
+        assert reply.json()["error"] == "invalid_request"
+        assert _post_token(stack, form).status == 200
+
+    @pytest.mark.parametrize("grant_type, error", [
+        ("password", "unsupported_grant_type"),
+        ("refresh_token", "unsupported_grant_type"),
+        ("", "invalid_request"),
+        (None, "invalid_request"),
+    ], ids=["password", "refresh-token", "blank", "absent"])
+    def test_grant_type_errors_per_rfc_6749(self, stack, grant_type, error):
+        form = {"client_id": CLIENT_ID, "code": "c"}
+        if grant_type is not None:
+            form["grant_type"] = grant_type
+        reply = _post_token(stack, urlencode(form))
+        assert reply.status == 400  # RFC 6749 §5.2
+        assert reply.json()["error"] == error
 
     def test_default_config_derives_reference_issuer(self):
         from mcpidg.idp import IdpConfig, serve_idp

@@ -241,3 +241,9 @@ def test_the_oidc_discovery_path_is_written_once():
         and "/.well-known/openid-configuration" in node.value
     ]
     assert len(found) == 1, found
+
+
+def test_the_package_parses_as_its_oldest_declared_python():
+    """pyproject.toml declares requires-python >=3.10 (best effort: grammar only)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
