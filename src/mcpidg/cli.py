@@ -17,6 +17,7 @@ import tempfile
 import threading
 from contextlib import contextmanager, nullcontext
 from typing import Any
+from urllib.parse import urlsplit
 
 from . import __version__, bench as bench_mod, harness, protocol
 from .httpserve import BindFailure, HttpServer
@@ -105,6 +106,15 @@ def _serve_until_signalled(handle: HttpServer, name: str, *ready_lines: str) -> 
 
 
 # -- serve commands ----------------------------------------------------------
+
+
+def http_url(text: str) -> str:
+    """The type of the URL flags; argparse turns its ValueError into a usage error."""
+    parts = urlsplit(text)  # raises for an unclosed IPv6 literal
+    # Reading .port raises for a port that is not a number in range.
+    if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+        raise ValueError(f"{text!r} is not an http(s) URL naming a host")
+    return text
 
 
 def cmd_serve_idp(args: argparse.Namespace) -> int:
@@ -364,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--bind", default=IdpConfig.bind_address,
         help="host:port, port 0 = ephemeral (default: %(default)s)",
     )
-    p.add_argument("--issuer", default=None, help="issuer URL (default: derived from bind)")
     p.add_argument(
-        "--audience", default=IdpConfig.audience,
+        "--issuer", default=None, type=http_url, help="issuer URL (default: derived from bind)"
+    )
+    p.add_argument(
+        "--audience", default=IdpConfig.audience, type=http_url,
         help="resource URL stamped into the aud claim (default: %(default)s)",
     )
     p.add_argument(
@@ -379,8 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bind", default=ServerConfig.bind_address, help="host:port (default: %(default)s)"
     )
-    p.add_argument("--issuer", default=ServerConfig.issuer_url, help="trusted issuer URL")
-    p.add_argument("--resource", default=None, help="externally visible MCP URL")
+    p.add_argument(
+        "--issuer", default=ServerConfig.issuer_url, type=http_url, help="trusted issuer URL"
+    )
+    p.add_argument("--resource", default=None, type=http_url, help="externally visible MCP URL")
     p.add_argument("--policy", default=None, help="policy JSON path (default: shipped mapping)")
     p.add_argument("--audit", default=ServerConfig.audit_sink, help="audit sink path (JSON Lines)")
     p.add_argument(

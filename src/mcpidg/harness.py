@@ -29,6 +29,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit
 from . import httpclient, protocol
 from .httpserve import TOKEN
 from .idp import DEFAULT_CLIENT_ID, DEFAULT_REDIRECT_URI, s256_challenge
+from .server import WELL_KNOWN_PATH
 from .tokens import discover_oidc
 from .tokenstore import TokenStore
 
@@ -79,16 +80,14 @@ class FlowTranscript:
         request_summary: str,
         response_summary: str,
         wall_latency_us: int = 0,
-    ) -> StepRecord:
+    ) -> None:
         if not 1 <= index <= 13:
             raise ValueError(f"step index {index} outside 1..13")
         if self.steps and index <= self.steps[-1].index:
             raise ValueError("step indices must be strictly increasing")
-        record = StepRecord(
-            index, description, request_summary, response_summary, wall_latency_us
+        self.steps.append(
+            StepRecord(index, description, request_summary, response_summary, wall_latency_us)
         )
-        self.steps.append(record)
-        return record
 
     def indices(self) -> list[int]:
         return [s.index for s in self.steps]
@@ -283,8 +282,7 @@ def call_tool(
 
 
 def _summarize_rpc(reply: httpclient.HttpReply) -> str:
-    if reply.status == 202:
-        return "202 Accepted (no body)"
+    """Step 13's summary of the tools/call reply, which step 10 has seen is a 200."""
     try:
         parsed = protocol.decode_response(reply.body)
     except protocol.ProtocolError:
@@ -294,14 +292,21 @@ def _summarize_rpc(reply: httpclient.HttpReply) -> str:
     return f"{reply.status} result keys={sorted((parsed.result or {}).keys())}"
 
 
-class _StepTimer:
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
+def _us_since(started: float) -> int:
+    return int((time.perf_counter() - started) * 1e6)
 
-    def __exit__(self, *exc_info):
-        self.elapsed_us = int((time.perf_counter() - self._t0) * 1e6)
-        return False
+
+def _fetch_metadata(url: str, index: int, what: str, fail) -> tuple[httpclient.HttpReply, int]:
+    """GET a well-known document, timed; a transport error fails step ``index``,
+    a status other than 200 the step after it."""
+    started = time.perf_counter()
+    try:
+        reply = httpclient.get(url)
+    except OSError as exc:
+        raise fail(index, f"{what} fetch failed: {exc}")
+    if reply.status != 200:
+        raise fail(index + 1, f"{what} endpoint returned {reply.status}")
+    return reply, _us_since(started)
 
 
 def run_sequence(
@@ -329,67 +334,42 @@ def run_sequence(
     else:
         token = _cold_start(transcript, mcp_url, persona, token_store, fail)
 
-    def post(request: protocol.RpcRequest) -> httpclient.HttpReply:
+    # Step 10: authenticated MCP traffic up to the tools/call request.
+    started = time.perf_counter()
+    for request in (
+        protocol.RpcRequest("initialize", id=1),
+        protocol.RpcRequest("notifications/initialized"),
+        protocol.RpcRequest("tools/list", id=2),
+        protocol.RpcRequest("tools/call", id=3, params={"name": tool, "arguments": {}}),
+    ):
         try:
-            return _mcp_post(mcp_url, request, token, bearer_mode)
+            reply = _mcp_post(mcp_url, request, token, bearer_mode)
         except TransportError as exc:
             raise fail(10, str(exc))
-
-    # Step 10: authenticated MCP traffic up to the tools/call request.
-    preliminary: list[str] = []
-    with _StepTimer() as timer:
-        init_reply = post(protocol.RpcRequest("initialize", id=1))
-        if init_reply.status == 401:
-            raise fail(10, "server rejected the bearer token on initialize")
-        if init_reply.status != 200:
-            raise fail(10, f"initialize returned {init_reply.status}")
-        preliminary.append("initialize -> 200")
-
-        notify_reply = post(protocol.RpcRequest("notifications/initialized"))
-        if notify_reply.status != 202:
-            raise fail(10, f"initialized notification returned {notify_reply.status}, wanted 202")
-        preliminary.append("notifications/initialized -> 202")
-
-        list_reply = post(protocol.RpcRequest("tools/list", id=2))
-        if list_reply.status != 200:
-            raise fail(10, f"tools/list returned {list_reply.status}")
-        preliminary.append("tools/list -> 200")
-
-        call_reply = post(
-            protocol.RpcRequest("tools/call", id=3, params={"name": tool, "arguments": {}})
-        )
-        if call_reply.status == 401:
-            raise fail(10, "server rejected the bearer token on tools/call")
-        if call_reply.status != 200:
-            raise fail(10, f"tools/call returned {call_reply.status}")
+        wanted = 202 if request.is_notification else 200
+        if reply.status == 401:
+            raise fail(10, f"server rejected the bearer token on {request.method}")
+        if reply.status != wanted:
+            raise fail(10, f"{request.method} returned {reply.status}, wanted {wanted}")
     transcript.add(
         10,
         "MCP requests with bearer token",
         f"POST {mcp_url} x4 ({bearer_mode} bearer): initialize, "
         f"notifications/initialized, tools/list, tools/call {tool}",
-        "; ".join(preliminary),
-        timer.elapsed_us,
+        "initialize -> 200; notifications/initialized -> 202; tools/list -> 200",
+        _us_since(started),
     )
 
     # Steps 11-12 happen between resource server and provider; annotate.
     transcript.add(
-        11,
-        "token validation against provider keys (server side)",
-        "(not client-observable)",
-        "see provider jwks counters",
+        11, "token validation against provider keys (server side)",
+        "(not client-observable)", "see provider jwks counters",
     )
     transcript.add(
-        12,
-        "validation result (server side)",
-        "(not client-observable)",
-        "implied by authorized response",
+        12, "validation result (server side)",
+        "(not client-observable)", "implied by authorized response",
     )
-    transcript.add(
-        13,
-        "authorized MCP response",
-        f"tools/call {tool}",
-        _summarize_rpc(call_reply),
-    )
+    transcript.add(13, "authorized MCP response", f"tools/call {tool}", _summarize_rpc(reply))
     return transcript
 
 
@@ -401,14 +381,14 @@ def _cold_start(
     fail,
 ) -> str:
     """Steps 1-9: challenge, discovery, PKCE code flow. Returns the token."""
-    with _StepTimer() as timer:
-        try:
-            bare = _mcp_post(mcp_url, protocol.RpcRequest("initialize", id=0), token=None)
-        except TransportError as exc:
-            raise fail(1, str(exc))
+    started = time.perf_counter()
+    try:
+        bare = _mcp_post(mcp_url, protocol.RpcRequest("initialize", id=0), token=None)
+    except TransportError as exc:
+        raise fail(1, str(exc))
     transcript.add(
         1, "MCP request without token", f"POST {mcp_url} initialize (no credentials)",
-        f"status {bare.status}", timer.elapsed_us,
+        f"status {bare.status}", _us_since(started),
     )
     if bare.status != 401:
         raise fail(2, f"expected 401 challenge, got {bare.status}")
@@ -425,13 +405,7 @@ def _cold_start(
         "(response to step 1)", f"WWW-Authenticate: {challenge_header}",
     )
 
-    with _StepTimer() as timer:
-        try:
-            meta_reply = httpclient.get(metadata_url)
-        except OSError as exc:
-            raise fail(3, f"metadata fetch failed: {exc}")
-    if meta_reply.status != 200:
-        raise fail(4, f"metadata endpoint returned {meta_reply.status}")
+    meta_reply, elapsed_us = _fetch_metadata(metadata_url, 3, "metadata", fail)
     try:
         metadata = _json_object(meta_reply, "resource metadata")
     except AuthFlowError as exc:
@@ -448,7 +422,7 @@ def _cold_start(
         raise fail(4, f"resource metadata names resource {resource!r:.80}, not {mcp_url!r}")
     transcript.add(
         3, "GET resource metadata (challenge URL)", f"GET {metadata_url}",
-        f"status {meta_reply.status}", timer.elapsed_us,
+        "status 200", elapsed_us,
     )
     transcript.add(
         4, "resource metadata with authorization server",
@@ -456,19 +430,15 @@ def _cold_start(
         f"authorization_servers={servers}",
     )
 
-    suffixed_url = metadata_url.rstrip("/") + urlsplit(resource).path
-    with _StepTimer() as timer:
-        try:
-            suffixed_reply = httpclient.get(suffixed_url)
-        except OSError as exc:
-            raise fail(5, f"suffixed metadata fetch failed: {exc}")
-    if suffixed_reply.status != 200:
-        raise fail(6, f"suffixed metadata endpoint returned {suffixed_reply.status}")
+    # RFC 9728 §3.1: the well-known path goes between the resource's host and its path.
+    parts = urlsplit(resource)
+    suffixed_url = f"{parts.scheme}://{parts.netloc}{WELL_KNOWN_PATH}{parts.path}"
+    suffixed_reply, elapsed_us = _fetch_metadata(suffixed_url, 5, "suffixed metadata", fail)
     if suffixed_reply.body != meta_reply.body:
         raise fail(6, "metadata documents at the two well-known paths differ")
     transcript.add(
         5, "GET resource metadata (path-suffixed variant)", f"GET {suffixed_url}",
-        f"status {suffixed_reply.status}", timer.elapsed_us,
+        "status 200", elapsed_us,
     )
     transcript.add(
         6, "resource metadata (identical to step 4)",
@@ -480,19 +450,19 @@ def _cold_start(
     issuer = servers[0]
     pkce = generate_pkce()
     verifier_digest = hashlib.sha256(pkce.verifier.encode("ascii")).hexdigest()
-    with _StepTimer() as timer:
-        try:
-            discovery = discover_oidc(issuer)
-            # acquire_token runs authorize (7) and token (8-9) together;
-            # any provider rejection surfaces here.
-            token_response = acquire_token(discovery, persona, pkce, DEFAULT_REQUEST_SCOPES)
-        except (OSError, AuthFlowError) as exc:
-            raise fail(7, str(exc))
+    started = time.perf_counter()
+    try:
+        discovery = discover_oidc(issuer)
+        # acquire_token runs authorize (7) and token (8-9) together;
+        # any provider rejection surfaces here.
+        token_response = acquire_token(discovery, persona, pkce, DEFAULT_REQUEST_SCOPES)
+    except (OSError, AuthFlowError) as exc:
+        raise fail(7, str(exc))
     transcript.add(
         7, "authorization request (PKCE)",
         f"GET {discovery['authorization_endpoint']} "
         f"(S256 verifier sha256={verifier_digest[:16]}...)",
-        "302 redirect with authorization code", timer.elapsed_us,
+        "302 redirect with authorization code", _us_since(started),
     )
     transcript.add(
         8, "token request (PKCE)",

@@ -218,6 +218,7 @@ class HttpServer(socketserver.ThreadingTCPServer):
         # Each open connection, oldest first: True while it waits for a request.
         self._connections: dict[socket.socket, bool] = {}
         self._connections_lock = threading.Lock()
+        self._thread: threading.Thread | None = None  # set by start()
         # Kept as given: "localhost" stays "localhost" in the URLs built on it.
         self.host, _, port = bind_address.rpartition(":")
         try:
@@ -243,14 +244,15 @@ class HttpServer(socketserver.ThreadingTCPServer):
 
     def stop(self) -> None:
         """Finish in-flight requests (their threads are joined), end idle
-        connections, close the listener."""
-        self.shutdown()
+        connections, close the listener. A server never started just closes it."""
+        if self._thread is not None:
+            self.shutdown()  # waits for serve_forever, so it would block forever unstarted
+            self._thread.join(timeout=10)
         self.stopping = True
         with self._connections_lock:
             for connection in self._connections:
                 _end_reading(connection)  # a busy handler still replies
         self.server_close()
-        self._thread.join(timeout=10)
 
     def __exit__(self, *exc_info) -> None:
         self.stop()

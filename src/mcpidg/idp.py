@@ -488,18 +488,21 @@ class IdpHandle(httpserve.HttpServer):
         except IdpError as exc:
             return _error_reply(exc)
 
+    def launch(self, config: IdpConfig) -> "IdpHandle":
+        """serve_idp on this bound listener: config.bind_address is not read."""
+        issuer = config.issuer_url or self.origin + ISSUER_PATH
+        self.core = MockIdp(issuer, config.audience, config.users, config.clients)
+        prefix = urlsplit(issuer).path.rstrip("/")
+        self.routes = {
+            ("GET", prefix + DISCOVERY_PATH): self._discovery,
+            ("GET", f"{prefix}/jwks"): self._jwks,
+            ("GET", f"{prefix}/authorize"): self._authorize,
+            ("POST", f"{prefix}/token"): self._token,
+        }
+        self.start("mcpidg-idp")
+        return self
+
 
 def serve_idp(config: IdpConfig) -> IdpHandle:
     """Bind, resolve the issuer URL, and start the provider."""
-    handle = IdpHandle(config.bind_address)
-    issuer = config.issuer_url or handle.origin + ISSUER_PATH
-    handle.core = MockIdp(issuer, config.audience, config.users, config.clients)
-    prefix = urlsplit(issuer).path.rstrip("/")
-    handle.routes = {
-        ("GET", prefix + DISCOVERY_PATH): handle._discovery,
-        ("GET", f"{prefix}/jwks"): handle._jwks,
-        ("GET", f"{prefix}/authorize"): handle._authorize,
-        ("POST", f"{prefix}/token"): handle._token,
-    }
-    handle.start("mcpidg-idp")
-    return handle
+    return IdpHandle(config.bind_address).launch(config)

@@ -253,9 +253,7 @@ class McpApp:
         validation_us: int,
         started: float,
     ) -> Reply:
-        params = dict(request.params or {})
-        # Transport-level field, never forwarded to handlers or audit.
-        params.pop("authorization", None)
+        params = request.params or {}
         name = params.get("name")
         arguments = params.get("arguments", {})
         if not isinstance(name, str) or not name or not isinstance(arguments, dict):
@@ -309,17 +307,22 @@ class ServerHandle(httpserve.HttpServer):
         super().stop()
         self.app.audit.close()  # no request is left to append
 
+    def launch(
+        self, config: ServerConfig, policy: PolicyTable, registry: ToolRegistry
+    ) -> "ServerHandle":
+        """serve on this bound listener: config.bind_address is not read."""
+        resolved = replace(config, resource_url=config.resource_url or self.origin + MCP_PATH)
+        app = self.app = McpApp(resolved, policy, registry)
+        self.routes = {
+            ("GET", WELL_KNOWN_PATH): app.get_metadata,
+            ("GET", WELL_KNOWN_PATH + MCP_PATH): app.get_metadata,
+            # Looked up per call, so a wrapper set on McpApp later still applies.
+            ("POST", MCP_PATH): lambda query, headers, body: app.handle_mcp_post(headers, body),
+        }
+        self.start("mcpidg-server")
+        return self
+
 
 def serve(config: ServerConfig, policy: PolicyTable, registry: ToolRegistry) -> ServerHandle:
     """Bind, resolve the externally visible resource URL, and start serving."""
-    handle = ServerHandle(config.bind_address, log)
-    resolved = replace(config, resource_url=config.resource_url or handle.origin + MCP_PATH)
-    app = handle.app = McpApp(resolved, policy, registry)
-    handle.routes = {
-        ("GET", WELL_KNOWN_PATH): app.get_metadata,
-        ("GET", WELL_KNOWN_PATH + MCP_PATH): app.get_metadata,
-        # Looked up per call, so a wrapper set on McpApp later still applies.
-        ("POST", MCP_PATH): lambda query, headers, body: app.handle_mcp_post(headers, body),
-    }
-    handle.start("mcpidg-server")
-    return handle
+    return ServerHandle(config.bind_address, log).launch(config, policy, registry)

@@ -7,12 +7,15 @@ stamps the resource server's URL as the token audience.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .idp import ClientRegistration, IdpConfig, IdpHandle, UserRecord, serve_idp
+from .idp import ClientRegistration, IdpConfig, IdpHandle, UserRecord
 from .policy import PolicyTable, ToolRegistry
-from .server import ServerConfig, ServerHandle, serve
+from .server import MCP_PATH, ServerConfig, ServerHandle, log as server_log
 from .tools import default_policy, default_registry
+
+LOOPBACK = "127.0.0.1:0"  # an ephemeral port on each side
 
 
 @dataclass
@@ -47,25 +50,20 @@ def start_stack(
     users: tuple[UserRecord, ...] | None = None,
     clients: tuple[ClientRegistration, ...] | None = None,
 ) -> LocalStack:
+    """Bind both listeners first, so each side is built knowing the other's final URL."""
     registry = registry or default_registry()
     policy = policy or default_policy(registry)
-    idp = serve_idp(IdpConfig(
-        "127.0.0.1:0", audience="(resolved after server start)", users=users, clients=clients
-    ))
-    try:
-        server = serve(
-            ServerConfig(
-                bind_address="127.0.0.1:0",
-                issuer_url=idp.issuer,
-                audit_sink=audit_path,
-            ),
+    with ExitStack() as unwind:
+        idp = IdpHandle(LOOPBACK)
+        unwind.callback(idp.stop)  # closes the listener, started or not
+        server = ServerHandle(LOOPBACK, server_log)
+        unwind.callback(server.server_close)  # not stop(): it closes the audit log launch opens
+        resource_url = server.origin + MCP_PATH
+        idp.launch(IdpConfig(LOOPBACK, audience=resource_url, users=users, clients=clients))
+        server.launch(
+            ServerConfig(LOOPBACK, idp.issuer, resource_url, audit_sink=audit_path),
             policy,
             registry,
         )
-    except Exception:
-        idp.stop()
-        raise
-    # No token can have been minted yet; bind the audience to the
-    # now-known resource URL.
-    idp.core.audience = server.resource_url
+        unwind.pop_all()
     return LocalStack(idp=idp, server=server, audit_path=audit_path)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from mcpidg import bench, cli, harness, httpclient
+from mcpidg import bench, cli, harness, httpclient, httpserve
 from mcpidg.cli import is_ordered_subsequence, policy_report, resolve_persona
 from mcpidg.policy import PolicyTable, load_policy
 from mcpidg.stack import LocalStack
@@ -359,6 +359,23 @@ class TestServeCommands:
     @pytest.mark.parametrize("bind", ["localhost", "localhost:abc", "127.0.0.1:70000"])
     def test_unusable_bind_exits_one(self, bind):
         assert cli.main(["--log-level", "error", "serve-idp", "--bind", bind]) == 1
+
+    @pytest.mark.parametrize("url", ["http://[::1", "mcp.example"], ids=["ipv6-open", "no-scheme"])
+    @pytest.mark.parametrize("command, flag", [
+        ("serve-mcp", "--resource"), ("serve-mcp", "--issuer"),
+        ("serve-idp", "--issuer"), ("serve-idp", "--audience"),
+    ])
+    def test_unusable_url_flag_is_a_usage_error_before_binding(
+        self, monkeypatch, capsys, command, flag, url
+    ):
+        def bind(*args):
+            raise AssertionError("bound before the flags were checked")
+
+        monkeypatch.setattr(httpserve.HttpServer, "__init__", bind)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--bind", "127.0.0.1:0", flag, url])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid http_url value: {url!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["[]", "[" * 100_000 + "]" * 100_000])
     def test_malformed_fixtures_exit_one(self, tmp_path, content):

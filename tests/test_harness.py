@@ -704,14 +704,17 @@ class TestEveryStepExit:
 
     @pytest.mark.parametrize("statuses, detail", [
         ({"initialize": 401}, "server rejected the bearer token on initialize"),
-        ({"initialize": 500}, "initialize returned 500"),
+        ({"initialize": 500}, "initialize returned 500, wanted 200"),
         ({"notifications/initialized": 200},
-         "initialized notification returned 200, wanted 202"),
-        ({"tools/list": 403}, "tools/list returned 403"),
+         "notifications/initialized returned 200, wanted 202"),
+        ({"notifications/initialized": 401},
+         "server rejected the bearer token on notifications/initialized"),
+        ({"tools/list": 403}, "tools/list returned 403, wanted 200"),
+        ({"tools/list": 401}, "server rejected the bearer token on tools/list"),
         ({"tools/call": 401}, "server rejected the bearer token on tools/call"),
-        ({"tools/call": 503}, "tools/call returned 503"),
-    ], ids=["initialize-401", "initialize-500", "notification-200", "list-403", "call-401",
-            "call-503"])
+        ({"tools/call": 503}, "tools/call returned 503, wanted 200"),
+    ], ids=["initialize-401", "initialize-500", "notification-200", "notification-401",
+            "list-403", "list-401", "call-401", "call-503"])
     def test_step_10(self, stub, tmp_path, statuses, detail):
         mcp_url = _mcp_answering(stub, statuses)
         store = TokenStore(str(tmp_path / "tokens.json"))
@@ -751,6 +754,18 @@ class TestEveryStepExit:
         failure = self._fails(mcp_url, 5)
         assert failure.detail == "suffixed metadata fetch failed: connection refused"
         assert failure.transcript.indices() == [1, 2, 3, 4]
+
+    def test_step_5_inserts_the_well_known_path_before_the_resource_path(self, stub):
+        # RFC 9728 §3.1: built from the resource, not appended to the challenge's URL.
+        mcp_url, _ = _provider_behind_resource(stub)
+        suffixed = f"{stub.base}/.well-known/oauth-protected-resource/mcp"
+        stub.replies["/mcp"] = (
+            401, b"", {"WWW-Authenticate": f'Bearer resource_metadata="{suffixed}"'}
+        )
+        failure = self._fails(mcp_url, 7)  # the stub's token reply holds no token
+        assert failure.transcript.indices() == [1, 2, 3, 4, 5, 6]
+        assert failure.transcript.step(3).request_summary == f"GET {suffixed}"
+        assert failure.transcript.step(5).request_summary == f"GET {suffixed}"
 
     def test_step_6_suffixed_metadata_status_other_than_200(self, stub):
         mcp_url, _ = _provider_behind_resource(stub)

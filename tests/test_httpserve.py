@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import rpc
-from mcpidg import audit, httpclient, httpserve, tokens
+from mcpidg import audit, httpclient, httpserve, stack as stack_module, tokens
 from mcpidg.audit import read_records
 from mcpidg.idp import MockIdp
 from mcpidg.server import McpApp
@@ -211,6 +211,42 @@ def test_stop_ends_idle_kept_alive_connections(tmp_path):
                 assert read_reply(rfile) is None
     finally:
         local.stop()
+
+
+def _returns_within(seconds: float, call) -> bool:
+    """Whether ``call`` returns within ``seconds``; a hung call fails the test, not the run."""
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    return not worker.is_alive()
+
+
+def test_stop_on_a_server_never_started_returns_and_closes_the_listener():
+    server = httpserve.HttpServer("127.0.0.1:0", logging.getLogger("tests.unstarted"))
+    assert _returns_within(5, server.stop), "stop() waited for a serve loop that never ran"
+    assert server.socket.fileno() == -1
+
+
+def test_start_stack_closes_the_provider_when_the_server_cannot_bind(monkeypatch, tmp_path):
+    providers, raised = [], []
+
+    class Provider(stack_module.IdpHandle):
+        def __init__(self, bind_address):
+            super().__init__(bind_address)
+            providers.append(self)
+
+    def unbindable(bind_address, log):
+        raise httpserve.BindFailure(f"cannot bind {bind_address!r}")
+
+    def start():
+        with pytest.raises(httpserve.BindFailure):
+            start_stack(audit_path=str(tmp_path / "audit.jsonl"))
+        raised.append(True)
+
+    monkeypatch.setattr(stack_module, "IdpHandle", Provider)
+    monkeypatch.setattr(stack_module, "ServerHandle", unbindable)
+    assert _returns_within(5, start) and raised
+    assert [p.socket.fileno() for p in providers] == [-1]
 
 
 def test_idle_connection_closed_after_the_timeout(monkeypatch, stack):
