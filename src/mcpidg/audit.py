@@ -14,7 +14,6 @@ followed by a new file at the path.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Any
@@ -58,7 +57,7 @@ class AuditLog:
                 pass  # the failure was reported by the append that hit it
 
     def append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = protocol.encode_json(record) + "\n"
         with self._lock:
             try:
                 fh = self._handle()

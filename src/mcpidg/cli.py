@@ -441,10 +441,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class ConsoleHandler(logging.StreamHandler):
+    """Writes each "LEVEL  message" line itself, without a Formatter.
+
+    A record carrying a traceback or a stack goes through the handler's
+    Formatter, which has the same line format and appends them.
+    """
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if record.exc_info or record.stack_info:
+            super().emit(record)
+            return
+        try:
+            self.stream.write(f"{record.levelname}  {record.getMessage()}\n")
+            self.flush()
+        except RecursionError:  # as StreamHandler.emit does
+            raise
+        except Exception:
+            self.handleError(record)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     level = getattr(logging, args.log_level.upper())
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s  %(message)s")
+    # Nothing reads a record's thread, process or caller (logging HOWTO, Optimization).
+    logging.logThreads = logging.logProcesses = logging.logMultiprocessing = False
+    logging._srcfile = None
+    logging.basicConfig(
+        level=level, format="%(levelname)s  %(message)s", handlers=[ConsoleHandler(sys.stderr)]
+    )
     # Log capture may raise package logger levels; the stderr handler must
     # still honor the requested verbosity.
     for handler in logging.getLogger().handlers:

@@ -16,7 +16,6 @@ transcript; only the verifier's S256 digest is recorded.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import secrets
 import sys
@@ -103,7 +102,7 @@ class FlowTranscript:
         return self.steps[-1]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(asdict(s), separators=(",", ":")) for s in self.steps)
+        return "\n".join(protocol.encode_json(asdict(s)) for s in self.steps)
 
 
 @dataclass(frozen=True)

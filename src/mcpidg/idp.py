@@ -26,7 +26,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
-from . import httpserve
+from . import httpserve, protocol
 from .httpserve import Reply
 from .tokens import DISCOVERY_PATH, b64url_encode
 
@@ -259,9 +259,9 @@ class MockIdp:
             signer = self._keys[-1]
         header = {"alg": "RS256", "kid": signer.kid, "typ": "JWT"}
         signing_input = (
-            b64url_encode(json.dumps(header, separators=(",", ":")).encode())
+            b64url_encode(protocol.encode_json(header).encode())
             + "."
-            + b64url_encode(json.dumps(claims, separators=(",", ":")).encode())
+            + b64url_encode(protocol.encode_json(claims).encode())
         )
         signature = signer.private_key.sign(
             signing_input.encode("ascii"), padding.PKCS1v15(), hashes.SHA256()

@@ -115,6 +115,12 @@ def parse_json(data: bytes) -> Any:
         raise ParseError(f"malformed JSON body: {exc}") from exc
 
 
+# The encoder of every compact JSON document the package writes, the
+# counterpart of parse_json: json.dumps(doc, separators=(",", ":")) without
+# building an encoder on each call.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def decode_request(doc: Any) -> RpcRequest:
     """Validate the shape of one parsed request document.
 
@@ -184,7 +190,7 @@ def encode_request(req: RpcRequest) -> bytes:
     doc["method"] = req.method
     if req.params is not None:
         doc["params"] = req.params
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return encode_json(doc).encode("utf-8")
 
 
 def encode_response(resp: RpcResponse) -> bytes:
@@ -198,7 +204,7 @@ def encode_response(resp: RpcResponse) -> bytes:
         if resp.error.data is not None:
             err["data"] = resp.error.data
         doc["error"] = err
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return encode_json(doc).encode("utf-8")
 
 
 def error_response(

@@ -9,7 +9,6 @@ invocation (fail-closed).
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 import uuid
@@ -86,15 +85,12 @@ class McpApp:
         origin = urlsplit(config.resource_url)
         self.metadata_url = f"{origin.scheme}://{origin.netloc}{WELL_KNOWN_PATH}"
         # The discovery document, byte-stable: fixed field order, compact separators.
-        self.metadata = json.dumps(
-            {
-                "resource": config.resource_url,
-                "scopes_supported": sorted(config.required_scopes),
-                "authorization_servers": [config.issuer_url],
-                "bearer_methods_supported": ["header", "body"],
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        self.metadata = protocol.encode_json({
+            "resource": config.resource_url,
+            "scopes_supported": sorted(config.required_scopes),
+            "authorization_servers": [config.issuer_url],
+            "bearer_methods_supported": ["header", "body"],
+        }).encode("utf-8")
 
     # -- responses ---------------------------------------------------------
 
@@ -313,11 +309,13 @@ class ServerHandle(httpserve.HttpServer):
         """serve on this bound listener: config.bind_address is not read."""
         resolved = replace(config, resource_url=config.resource_url or self.origin + MCP_PATH)
         app = self.app = McpApp(resolved, policy, registry)
+        path = urlsplit(resolved.resource_url).path
         self.routes = {
             ("GET", WELL_KNOWN_PATH): app.get_metadata,
-            ("GET", WELL_KNOWN_PATH + MCP_PATH): app.get_metadata,
+            # RFC 9728 §3.1: the well-known path goes between the host and the resource's path.
+            ("GET", WELL_KNOWN_PATH + path): app.get_metadata,
             # Looked up per call, so a wrapper set on McpApp later still applies.
-            ("POST", MCP_PATH): lambda query, headers, body: app.handle_mcp_post(headers, body),
+            ("POST", path or "/"): lambda query, headers, body: app.handle_mcp_post(headers, body),
         }
         self.start("mcpidg-server")
         return self

@@ -18,7 +18,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -246,6 +246,29 @@ def _role_set(claims: dict[str, Any]) -> frozenset[str]:
     return frozenset(r for r in roles if isinstance(r, str))
 
 
+def _check_lifetime(claims: dict[str, Any], now: float, skew: float) -> int | float:
+    """The lifetime window (exp, iat, nbf) against ``now``; returns exp.
+
+    The one claims check that changes with time, so verify_bearer repeats
+    it alone for a token whose other claims already passed.
+    """
+    exp = claims.get("exp")
+    if not isinstance(exp, (int, float)) or isinstance(exp, bool):
+        raise Expired("token carries no usable exp claim")
+    iat = claims.get("iat")
+    iat = int(iat) if isinstance(iat, (int, float)) and not isinstance(iat, bool) else 0
+    if exp <= iat:
+        raise Expired("token validity window is empty or inverted (exp <= iat)")
+    if now > exp + skew:
+        raise Expired(f"token expired at {int(exp)} (now {int(now)})")
+    nbf = claims.get("nbf")
+    if isinstance(nbf, (int, float)) and not isinstance(nbf, bool):
+        not_before = int(nbf)
+        if now < not_before - skew:
+            raise NotYetValid(f"token not valid before {not_before} (now {int(now)})")
+    return exp
+
+
 def validate_claims(
     claims: dict[str, Any],
     expected_issuer: str,
@@ -268,20 +291,7 @@ def validate_claims(
         raise WrongAudience(
             f"audience {sorted(audience)} does not include {expected_resource!r}"
         )
-    exp = claims.get("exp")
-    if not isinstance(exp, (int, float)) or isinstance(exp, bool):
-        raise Expired("token carries no usable exp claim")
-    iat = claims.get("iat")
-    iat = int(iat) if isinstance(iat, (int, float)) and not isinstance(iat, bool) else 0
-    if exp <= iat:
-        raise Expired("token validity window is empty or inverted (exp <= iat)")
-    if now > exp + skew:
-        raise Expired(f"token expired at {int(exp)} (now {int(now)})")
-    nbf = claims.get("nbf")
-    if isinstance(nbf, (int, float)) and not isinstance(nbf, bool):
-        not_before = int(nbf)
-        if now < not_before - skew:
-            raise NotYetValid(f"token not valid before {not_before} (now {int(now)})")
+    exp = _check_lifetime(claims, now, skew)
     scopes = _scope_set(claims)
     missing = frozenset(required_scopes) - scopes
     if missing:
@@ -349,9 +359,9 @@ class JwksCache:
     per MIN_REFRESH_INTERVAL_S, so forged kids cannot drive the identity
     provider; a failed one keeps the current set.
 
-    It also remembers the claims of up to MAX_VERIFIED_TOKENS tokens whose
-    signature the current set verified, and forgets them all whenever it
-    stores a new set.
+    It also remembers up to MAX_VERIFIED_TOKENS tokens whose signature the
+    current set verified (see VerifiedToken), and forgets them all whenever
+    it stores a new set.
     """
 
     def __init__(
@@ -370,7 +380,7 @@ class JwksCache:
         # The last failed fetch's exception; each failed fetch raises a new
         # one, so a waiter can tell whether a fetch failed while it waited.
         self._failure: Exception | None = None
-        self._verified: OrderedDict[str, tuple[JwkSet, dict[str, Any]]] = OrderedDict()
+        self._verified: OrderedDict[str, VerifiedToken] = OrderedDict()
         self._lock = threading.Lock()
         self._fetch_lock = threading.Lock()
         self.hits = 0
@@ -436,23 +446,31 @@ class JwksCache:
                 self._verified.clear()
             return jwk_set
 
-    def recall(self, token: str) -> tuple[JwkSet, dict[str, Any]] | None:
-        """The key set that verified ``token``'s signature, and its claims."""
+    def recall(self, token: str) -> VerifiedToken | None:
         with self._lock:
             return self._verified.get(token)
 
-    def remember(self, token: str, jwk_set: JwkSet, claims: dict[str, Any]) -> None:
-        """Record that ``jwk_set`` verified ``token``'s signature."""
+    def remember(self, token: str, verified: VerifiedToken) -> None:
         with self._lock:
-            if self._entry is None or self._entry[0] is not jwk_set:
+            if self._entry is None or self._entry[0] is not verified.keys:
                 return  # replaced while the signature was checked
-            self._verified[token] = (jwk_set, claims)
+            self._verified[token] = verified
             if len(self._verified) > MAX_VERIFIED_TOKENS:
                 self._verified.popitem(last=False)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses}
+
+
+class VerifiedToken(NamedTuple):
+    """What a JwksCache remembers of a token its current key set verified."""
+
+    keys: JwkSet
+    claims: dict[str, Any]
+    # Set once the claims pass validate_claims under ``config``.
+    identity: ValidatedIdentity | None = None
+    config: VerifierConfig | None = None
 
 
 def mask_subject(subject: str) -> str:
@@ -485,14 +503,14 @@ def verify_bearer(
     kept for every other token.
 
     A token whose signature the cache's current key set has already
-    verified is not parsed or verified again; its claims are still
-    validated on every call.
+    verified is not parsed or verified again. Under the config its claims
+    passed, only their lifetime window is checked again; under another,
+    they are validated in full.
     """
     log.info("Verifying token...")
-    remembered = cache.recall(token)
-    if remembered is not None and remembered[0] is cache.get():
-        claims = remembered[1]
-    else:
+    now = time.time() if now is None else now
+    verified = cache.recall(token)
+    if verified is None or verified.keys is not cache.get():
         jwt = parse_compact(token)
         keys = cache.get()
         try:
@@ -500,13 +518,19 @@ def verify_bearer(
         except UnknownKeyId:
             keys = cache.get(refresh=True)
             claims = verify_signature(jwt, keys)
-        cache.remember(token, keys, claims)
-    identity = validate_claims(
-        claims,
-        expected_issuer=cache.issuer,
-        expected_resource=config.resource,
-        required_scopes=config.required_scopes,
-        now=time.time() if now is None else now,
-    )
+        verified = VerifiedToken(keys, claims)
+        cache.remember(token, verified)
+    if verified.config == config:
+        _check_lifetime(verified.claims, now, DEFAULT_CLOCK_SKEW)
+        identity = verified.identity
+    else:
+        identity = validate_claims(
+            verified.claims,
+            expected_issuer=cache.issuer,
+            expected_resource=config.resource,
+            required_scopes=config.required_scopes,
+            now=now,
+        )
+        cache.remember(token, verified._replace(identity=identity, config=config))
     log.info("Authenticated user: %s", mask_subject(identity.subject))
     return identity

@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -19,6 +20,8 @@ from mcpidg import bench, cli, harness, httpclient, httpserve
 from mcpidg.cli import is_ordered_subsequence, policy_report, resolve_persona
 from mcpidg.policy import PolicyTable, load_policy
 from mcpidg.stack import LocalStack
+from mcpidg.tokens import mask_subject
+from mcpidg.tokenstore import TokenStore
 from mcpidg.tools import default_registry
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -32,16 +35,22 @@ def free_port() -> int:
 
 
 @contextmanager
-def serving(*cli_args: str, ready: str):
-    """Run `mcpidg <cli_args>` until SIGTERM; yields what follows `ready` in its log."""
+def serving(*cli_args: str, ready: str, stderr: list[str] | None = None,
+            program: tuple[str, ...] = ("-m", "mcpidg.cli")):
+    """Run `mcpidg <cli_args>` until SIGTERM; yields what follows `ready` in its log.
+
+    ``stderr`` receives every line the process wrote there, once it has exited.
+    """
+    lines = [] if stderr is None else stderr
     with subprocess.Popen(
-        [sys.executable, "-m", "mcpidg.cli", *cli_args], stderr=subprocess.PIPE, text=True
+        [sys.executable, *program, *cli_args], stderr=subprocess.PIPE, text=True
     ) as proc:
         try:
             announced = None
             deadline = time.time() + 10
             while announced is None and time.time() < deadline:
                 line = proc.stderr.readline()
+                lines.append(line)
                 if ready in line:
                     announced = line.rsplit(ready, 1)[1].strip()
             assert announced, "server never reported readiness"
@@ -49,6 +58,7 @@ def serving(*cli_args: str, ready: str):
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10) == 0
+            lines.extend(proc.stderr)
 
 
 class TestPercentile:
@@ -459,3 +469,83 @@ class TestServeCommands:
         finally:
             clean = stack.stop()
         assert clean
+
+
+# serve-mcp with a docs_search handler that fails, so one request logs a traceback.
+FAILING_DOCS_SEARCH = """
+import sys
+from mcpidg import cli, tools
+
+def docs_search(arguments):
+    raise RuntimeError("documentation index unavailable")
+
+tools._docs_search = docs_search
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestConsoleLines:
+    """The exact stderr of both serve commands: operators and perfbench read it."""
+
+    def test_a_sign_in_writes_these_lines_and_no_token(self, tmp_path):
+        idp_port, mcp_port = free_port(), free_port()
+        resource = f"http://127.0.0.1:{mcp_port}/mcp"
+        store = TokenStore(str(tmp_path / "tokens.json"))
+        idp_err: list[str] = []
+        mcp_err: list[str] = []
+        with serving(
+            "serve-idp", "--bind", f"127.0.0.1:{idp_port}", "--audience", resource,
+            ready="issuer ", stderr=idp_err,
+        ) as issuer, serving(
+            "serve-mcp", "--bind", f"127.0.0.1:{mcp_port}", "--issuer", issuer,
+            "--audit", str(tmp_path / "audit.jsonl"),
+            ready="ready at ", stderr=mcp_err, program=("-c", FAILING_DOCS_SEARCH),
+        ):
+            transcript = harness.run_sequence(resource, "developer-persona", token_store=store)
+        assert transcript.final_step.response_summary == "200 error -32603: tool handler failure"
+        token = store.get(resource).access_token
+        assert token not in "".join(idp_err + mcp_err)
+
+        realm = urlsplit(issuer).path
+        assert "".join(idp_err).splitlines() == [
+            f"INFO  identity provider ready; issuer {issuer}",
+            f"INFO  discovery: {issuer}/.well-known/openid-configuration",
+            f'INFO  "GET {realm}/.well-known/openid-configuration HTTP/1.1" 200 OK',
+            f'INFO  "GET {realm}/authorize HTTP/1.1" 302 Found',
+            f'INFO  "POST {realm}/token HTTP/1.1" 200 OK',
+            f'INFO  "GET {realm}/.well-known/openid-configuration HTTP/1.1" 200 OK',
+            f'INFO  "GET {realm}/jwks HTTP/1.1" 200 OK',
+            "INFO  identity provider stopped",
+        ]
+        mcp_lines = "".join(mcp_err).splitlines()
+        # The tool call's traceback: its header, at least one frame, the exception.
+        failed = mcp_lines.index("ERROR  tool handler 'docs_search' failed")
+        assert mcp_lines[failed + 1] == "Traceback (most recent call last):"
+        assert mcp_lines[failed + 2].startswith('  File "')
+        subject = mask_subject("developer-persona")
+        assert subject == "d****************"
+        metadata = "/.well-known/oauth-protected-resource"
+        # A traceback's frame lines are indented; no log line is.
+        assert [line for line in mcp_lines if not line.startswith(" ")] == [
+            f"INFO  resource server ready at {resource}",
+            f"INFO  protected-resource metadata: http://127.0.0.1:{mcp_port}{metadata}",
+            'INFO  "POST /mcp HTTP/1.1" 401 Unauthorized',
+            f'INFO  "GET {metadata} HTTP/1.1" 200 OK',
+            f'INFO  "GET {metadata}/mcp HTTP/1.1" 200 OK',
+            "INFO  Verifying token...",
+            f"INFO  Authenticated user: {subject}",
+            'INFO  "POST /mcp HTTP/1.1" 200 OK',
+            "INFO  Verifying token...",
+            f"INFO  Authenticated user: {subject}",
+            'INFO  "POST /mcp HTTP/1.1" 202 Accepted',
+            "INFO  Verifying token...",
+            f"INFO  Authenticated user: {subject}",
+            'INFO  "POST /mcp HTTP/1.1" 200 OK',
+            "INFO  Verifying token...",
+            f"INFO  Authenticated user: {subject}",
+            "ERROR  tool handler 'docs_search' failed",
+            "Traceback (most recent call last):",
+            "RuntimeError: documentation index unavailable",
+            'INFO  "POST /mcp HTTP/1.1" 200 OK',
+            "INFO  resource server stopped",
+        ]

@@ -175,6 +175,11 @@ def test_response_round_trip(resp):
     assert decode_response(encode_response(resp)) == resp
 
 
+@given(_json_values)
+def test_encode_json_writes_the_bytes_of_compact_json_dumps(value):
+    assert protocol.encode_json(value) == json.dumps(value, separators=(",", ":"))
+
+
 @given(_requests)
 def test_notification_iff_no_id(req):
     assert req.is_notification == (req.id is None)
@@ -229,6 +234,29 @@ def test_protocol_is_the_only_json_decoder_in_the_package():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert found == [], "decode outside JSON with protocol.parse_json"
+
+
+def test_protocol_is_the_only_compact_json_encoder_in_the_package():
+    found = []
+    for name, tree in _package_trees():
+        if name == "protocol.py":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in {"dump", "dumps"}
+                and any(keyword.arg == "separators" for keyword in node.keywords)
+            ) or (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+                and node.attr == "JSONEncoder"
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], "encode compact JSON with protocol.encode_json"
 
 
 def test_the_oidc_discovery_path_is_written_once():

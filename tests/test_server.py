@@ -7,7 +7,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding
 
 from conftest import mcp_post, rpc
-from mcpidg import httpclient, protocol
+from mcpidg import harness, httpclient, protocol
 from mcpidg.audit import AuditSinkFailure, AuditLog, read_records
 from mcpidg.httpserve import BindFailure
 from mcpidg.policy import authorize
@@ -15,7 +15,9 @@ from mcpidg.server import (
     MalformedAuthorizationHeader,
     McpApp,
     ServerConfig,
+    ServerHandle,
     extract_bearer,
+    log as server_log,
     serve,
 )
 from mcpidg.tokens import ValidatedIdentity, b64url_encode
@@ -633,6 +635,25 @@ class TestServeLifecycle:
         handle.stop()
         with pytest.raises(OSError):
             httpclient.get(url, timeout=2.0)
+
+    def test_a_resource_with_another_path_is_served_at_that_path(
+        self, tmp_path, stack, registry, policy
+    ):
+        handle = ServerHandle("127.0.0.1:0", server_log)
+        resource = handle.origin + "/api/mcp"
+        with handle.launch(
+            ServerConfig(issuer_url=stack.issuer, resource_url=resource,
+                         audit_sink=str(tmp_path / "api-audit.jsonl")),
+            policy,
+            registry,
+        ):
+            stack.idp.core.audience = resource  # aud must match this server
+            transcript = harness.run_sequence(resource, "developer-persona")
+            assert httpclient.post(handle.origin + "/mcp", b"{}").status == 404
+        assert transcript.step(5).request_summary.endswith(
+            "/.well-known/oauth-protected-resource/api/mcp"
+        )
+        assert transcript.final_step.response_summary.startswith("200 result ")
 
     def test_ephemeral_port_resolution(self, stack):
         assert stack.server.port != 0

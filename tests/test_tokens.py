@@ -693,6 +693,60 @@ class TestVerifiedTokenMemo:
             verify_bearer(token, make_config(), cache, now=exp + DEFAULT_CLOCK_SKEW + 1)
         assert len(signature_checks) == 1
 
+    def test_claims_are_validated_once_per_config(self, signer, signature_checks, monkeypatch):
+        validations = []
+        real = tokens.validate_claims
+
+        def counted(claims, *args, **kwargs):
+            validations.append(kwargs["expected_resource"])
+            return real(claims, *args, **kwargs)
+
+        monkeypatch.setattr(tokens, "validate_claims", counted)
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        first = verify_bearer(token, make_config(), cache)
+        assert verify_bearer(token, make_config(), cache) is first
+        assert validations == [TEST_RESOURCE]
+        other = make_config(resource="http://other.test/mcp")
+        for _ in range(2):
+            with pytest.raises(WrongAudience):
+                verify_bearer(token, other, cache)
+        assert verify_bearer(token, make_config(), cache) is first
+        assert validations == [TEST_RESOURCE] + ["http://other.test/mcp"] * 2
+        assert len(signature_checks) == 1, "the signature is checked once per key set"
+
+    def test_failed_claims_are_validated_again_on_each_call(self, signer, signature_checks):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.sign_claims(claims_for(exp=int(time.time()) + 300, scope="openid"))
+        for _ in range(2):
+            with pytest.raises(InsufficientScope):
+                verify_bearer(token, make_config(), cache)
+        assert cache.recall(token).identity is None
+        assert len(signature_checks) == 1
+
+    def test_remembered_token_is_not_yet_valid_before_its_nbf(self, signer, signature_checks):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        nbf = NOW + 60
+        token = signer.sign_claims(claims_for(nbf=nbf))
+        verify_bearer(token, make_config(), cache, now=nbf)
+        verify_bearer(token, make_config(), cache, now=nbf - DEFAULT_CLOCK_SKEW)
+        with pytest.raises(NotYetValid, match=f"not valid before {nbf} "):
+            verify_bearer(token, make_config(), cache, now=nbf - DEFAULT_CLOCK_SKEW - 1)
+        assert len(signature_checks) == 1
+
+    def test_remembered_token_expires_with_the_message_of_validate_claims(self, signer):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        claims = claims_for()
+        token = signer.sign_claims(claims)
+        verify_bearer(token, make_config(), cache, now=NOW)
+        late = claims["exp"] + DEFAULT_CLOCK_SKEW + 1
+        with pytest.raises(Expired) as on_memo:
+            verify_bearer(token, make_config(), cache, now=late)
+        with pytest.raises(Expired) as in_full:
+            validate_claims(claims, TEST_ISSUER, TEST_RESOURCE, frozenset(), now=late)
+        assert str(on_memo.value) == str(in_full.value)
+        assert str(on_memo.value) == f"token expired at {claims['exp']} (now {int(late)})"
+
     def test_memo_keeps_the_newest_tokens_up_to_its_bound(self, signer):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
         minted = [signer.issue_token_for("developer-persona")
