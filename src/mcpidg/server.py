@@ -22,7 +22,7 @@ from .audit import AuditLog, AuditSinkFailure
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
 from .tokens import (
-    JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
+    InsufficientScope, JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
 )
 
 log = logging.getLogger("mcpidg.server")
@@ -94,15 +94,20 @@ class McpApp:
 
     # -- responses ---------------------------------------------------------
 
-    def challenge(self, token_presented: bool) -> Reply:
+    def challenge(self, error: str | None) -> Reply:
         """401 with a WWW-Authenticate header pointing at the metadata URL.
 
-        The error parameter appears only when a credential was presented
-        and rejected, distinguishing "authenticate" from "re-authenticate".
+        ``error`` is the RFC 6750 §3.1 code, None when no credential was
+        presented: "authenticate" rather than "re-authenticate". With
+        "insufficient_scope" the header also names the scopes required
+        (§3), so a client can tell that signing in again will not help.
+        A rejected token is a 401 either way.
         """
         value = f'Bearer resource_metadata="{self.metadata_url}"'
-        if token_presented:
-            value += ', error="invalid_token"'
+        if error is not None:
+            value += f', error="{error}"'
+        if error == "insufficient_scope":
+            value += f', scope="{" ".join(sorted(self.config.required_scopes))}"'
         return Reply(status=401, headers={"WWW-Authenticate": value})
 
     def get_metadata(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
@@ -176,21 +181,23 @@ class McpApp:
             doc, parse_error = None, exc
 
         # Each unauthenticated outcome is a challenge with one audit record.
-        identity, reason, validation_us = None, "no_token", 0
+        identity, reason, error, validation_us = None, "no_token", None, 0
         try:
             token = extract_bearer(headers, doc)
         except MalformedAuthorizationHeader:
-            token, reason = None, "malformed_authorization_header"
+            token, reason, error = None, "malformed_authorization_header", "invalid_token"
         if token is not None:
             validation_started = time.perf_counter()
             try:
                 identity = verify_bearer(token, self.verifier_config, self.cache)
+            except InsufficientScope:
+                reason, error = "invalid_token", "insufficient_scope"
             except TokenError:
-                reason = "invalid_token"
+                reason = error = "invalid_token"
             validation_us = int((time.perf_counter() - validation_started) * 1e6)
         if identity is None:
             if self._audit(None, "-", "unauthenticated", {"kind": reason}, validation_us, started):
-                return self.challenge(token_presented=reason != "no_token")
+                return self.challenge(error)
             # No challenge: a token fetched now could not be used while the sink is down.
             return Reply(status=503, headers={"Retry-After": "1"})
 

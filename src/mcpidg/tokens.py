@@ -34,7 +34,7 @@ DEFAULT_JWKS_TTL = 300.0
 MIN_REFRESH_INTERVAL_S = 10.0
 DEFAULT_CLOCK_SKEW = 30.0
 # Tokens whose signature a JwksCache remembers (Envoy jwt_authn's default
-# jwt_cache_config size); the oldest is dropped first.
+# jwt_cache_config size); the least recently used is dropped first.
 MAX_VERIFIED_TOKENS = 100
 
 
@@ -360,8 +360,8 @@ class JwksCache:
     provider; a failed one keeps the current set.
 
     It also remembers up to MAX_VERIFIED_TOKENS tokens whose signature the
-    current set verified (see VerifiedToken), and forgets them all whenever
-    it stores a new set.
+    current set verified (see VerifiedToken), dropping the least recently
+    recalled first, and forgets them all whenever it stores a new set.
     """
 
     def __init__(
@@ -448,7 +448,10 @@ class JwksCache:
 
     def recall(self, token: str) -> VerifiedToken | None:
         with self._lock:
-            return self._verified.get(token)
+            verified = self._verified.get(token)
+            if verified is not None:
+                self._verified.move_to_end(token)
+            return verified
 
     def remember(self, token: str, verified: VerifiedToken) -> None:
         with self._lock:
@@ -504,13 +507,19 @@ def verify_bearer(
 
     A token whose signature the cache's current key set has already
     verified is not parsed or verified again. Under the config its claims
-    passed, only their lifetime window is checked again; under another,
-    they are validated in full.
+    passed, only their lifetime window is checked again, and nothing is
+    logged. Any other call logs "Verifying token..." and validates the
+    claims in full, then "Authenticated user: <masked>" once they pass.
     """
-    log.info("Verifying token...")
     now = time.time() if now is None else now
     verified = cache.recall(token)
-    if verified is None or verified.keys is not cache.get():
+    if verified is not None and verified.keys is not cache.get():
+        verified = None
+    if verified is not None and verified.config == config:
+        _check_lifetime(verified.claims, now, DEFAULT_CLOCK_SKEW)
+        return verified.identity
+    log.info("Verifying token...")
+    if verified is None:
         jwt = parse_compact(token)
         keys = cache.get()
         try:
@@ -520,17 +529,13 @@ def verify_bearer(
             claims = verify_signature(jwt, keys)
         verified = VerifiedToken(keys, claims)
         cache.remember(token, verified)
-    if verified.config == config:
-        _check_lifetime(verified.claims, now, DEFAULT_CLOCK_SKEW)
-        identity = verified.identity
-    else:
-        identity = validate_claims(
-            verified.claims,
-            expected_issuer=cache.issuer,
-            expected_resource=config.resource,
-            required_scopes=config.required_scopes,
-            now=now,
-        )
-        cache.remember(token, verified._replace(identity=identity, config=config))
+    identity = validate_claims(
+        verified.claims,
+        expected_issuer=cache.issuer,
+        expected_resource=config.resource,
+        required_scopes=config.required_scopes,
+        now=now,
+    )
+    cache.remember(token, verified._replace(identity=identity, config=config))
     log.info("Authenticated user: %s", mask_subject(identity.subject))
     return identity

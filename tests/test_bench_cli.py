@@ -532,17 +532,12 @@ class TestConsoleLines:
             'INFO  "POST /mcp HTTP/1.1" 401 Unauthorized',
             f'INFO  "GET {metadata} HTTP/1.1" 200 OK',
             f'INFO  "GET {metadata}/mcp HTTP/1.1" 200 OK',
+            # The token is verified on its first use; the memo serves the rest.
             "INFO  Verifying token...",
             f"INFO  Authenticated user: {subject}",
             'INFO  "POST /mcp HTTP/1.1" 200 OK',
-            "INFO  Verifying token...",
-            f"INFO  Authenticated user: {subject}",
             'INFO  "POST /mcp HTTP/1.1" 202 Accepted',
-            "INFO  Verifying token...",
-            f"INFO  Authenticated user: {subject}",
             'INFO  "POST /mcp HTTP/1.1" 200 OK',
-            "INFO  Verifying token...",
-            f"INFO  Authenticated user: {subject}",
             "ERROR  tool handler 'docs_search' failed",
             "Traceback (most recent call last):",
             "RuntimeError: documentation index unavailable",

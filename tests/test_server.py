@@ -113,6 +113,25 @@ class TestChallenge:
         assert reply.status == 401
         assert 'error="invalid_token"' in reply.header("www-authenticate")
 
+    def test_scope_lacking_token_gets_insufficient_scope_and_a_forged_one_invalid_token(
+        self, stack
+    ):
+        lacking = mint(stack, "developer-persona", scopes=frozenset({"openid"}))
+        forged = with_kid(mint(stack, "developer-persona"), "forged")
+        challenges = []
+        for token in (lacking, forged):
+            reply = mcp_post(stack.mcp_url, rpc("initialize", 1), token=token)
+            assert reply.status == 401
+            challenges.append(reply.header("www-authenticate"))
+        metadata = f'Bearer resource_metadata="{stack.server.metadata_url}"'
+        assert challenges == [
+            f'{metadata}, error="insufficient_scope", scope="openid profile"',
+            f'{metadata}, error="invalid_token"',
+        ]
+        assert [r["deny_reason"] for r in read_records(stack.audit_path)] == [
+            {"kind": "invalid_token"}, {"kind": "invalid_token"},
+        ]
+
     def test_challenge_metadata_url_is_followable(self, stack):
         reply = mcp_post(stack.mcp_url, rpc("initialize", 1))
         challenge = reply.header("www-authenticate")

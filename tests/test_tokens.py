@@ -756,6 +756,17 @@ class TestVerifiedTokenMemo:
         assert cache.recall(minted[0]) is None
         assert all(cache.recall(token) is not None for token in minted[1:])
 
+    def test_a_token_in_use_stays_remembered_among_others(self, signer, signature_checks):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        in_use = signer.issue_token_for("developer-persona")
+        verify_bearer(in_use, make_config(), cache)
+        for _ in range(MAX_VERIFIED_TOKENS):
+            verify_bearer(signer.issue_token_for("developer-persona"), make_config(), cache)
+            verify_bearer(in_use, make_config(), cache)
+        assert len(signature_checks) == 1 + MAX_VERIFIED_TOKENS, (
+            "the least recently used token is dropped, not the oldest"
+        )
+
     def test_concurrent_verifications_of_one_token_agree(self, signer):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
         token = signer.issue_token_for("developer-persona")
@@ -780,3 +791,86 @@ class TestVerifiedTokenMemo:
             sys.setswitchinterval(switch)
         assert len(identities) == 200
         assert all(identity == identities[0] for identity in identities)
+
+
+# -- what verify_bearer logs ------------------------------------------------------
+
+
+VERIFYING = "Verifying token..."
+AUTHENTICATED = "Authenticated user: d****************"
+
+
+def logged(caplog, token, config, cache, raises=None, **kwargs) -> list[str]:
+    """The messages of one verify_bearer call, which must raise ``raises`` if given."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="mcpidg.tokens"):
+        if raises is None:
+            verify_bearer(token, config, cache, **kwargs)
+        else:
+            with pytest.raises(raises):
+                verify_bearer(token, config, cache, **kwargs)
+    return [r.getMessage() for r in caplog.records if r.name == "mcpidg.tokens"]
+
+
+class TestVerificationLog:
+    """The pair is logged when a token is verified, not when the memo recognises it."""
+
+    def test_a_remembered_token_builds_no_record(self, signer, caplog):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        for _ in range(2):
+            assert logged(caplog, token, make_config(), cache) == []
+
+    def test_a_new_key_set_logs_the_pair_again(self, signer, caplog):
+        clock = [0.0]
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=CountingFetcher(signer),
+                          clock=lambda: clock[0])
+        token = signer.issue_token_for("developer-persona")
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        clock[0] = 300.0  # ttl refetch
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        assert logged(caplog, token, make_config(), cache) == []
+
+    def test_another_config_logs_verifying_and_only_a_pass_authenticates(self, signer, caplog):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        elsewhere = make_config(resource="http://other.test/mcp")
+        for _ in range(2):
+            assert logged(caplog, token, elsewhere, cache, raises=WrongAudience) == [VERIFYING]
+        assert logged(caplog, token, make_config(), cache) == []
+        fewer_scopes = make_config(required_scopes=frozenset({"openid"}))
+        assert logged(caplog, token, fewer_scopes, cache) == [VERIFYING, AUTHENTICATED]
+        assert logged(caplog, token, fewer_scopes, cache) == []
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+
+    @pytest.mark.parametrize(
+        "kind", ["forged", "expired", "malformed", "unknown_kid", "claims_failed"]
+    )
+    def test_a_rejected_token_logs_verifying_on_each_call_and_never_authenticated(
+        self, signer, caplog, kind
+    ):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        other = signer.issue_token_for("developer-persona")
+        token, error = {
+            "forged": (token[: token.rindex(".")] + other[other.rindex("."):], SignatureInvalid),
+            "expired": (signer.issue_token_for("developer-persona", lifetime=-3600), Expired),
+            "malformed": ("not-a-jwt", MalformedToken),
+            "unknown_kid": (unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for()),
+                            UnknownKeyId),
+            # Remembered after its signature passed; its claims are validated again each call.
+            "claims_failed": (signer.sign_claims(claims_for(exp=int(time.time()) + 300,
+                                                            scope="openid")), InsufficientScope),
+        }[kind]
+        for _ in range(2):
+            assert logged(caplog, token, make_config(), cache, raises=error) == [VERIFYING]
+
+    def test_a_remembered_token_that_expires_is_rejected_by_the_recheck_alone(self, signer, caplog):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        token = signer.issue_token_for("developer-persona")
+        exp = parse_compact(token).payload["exp"]
+        assert logged(caplog, token, make_config(), cache, now=exp) == [VERIFYING, AUTHENTICATED]
+        late = exp + DEFAULT_CLOCK_SKEW + 1
+        assert logged(caplog, token, make_config(), cache, raises=Expired, now=late) == []
