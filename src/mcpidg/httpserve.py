@@ -182,6 +182,31 @@ def closes_connection(version: str, headers: dict[str, str]) -> bool:
     return "close" in connection or (version == "HTTP/1.0" and "keep-alive" not in connection)
 
 
+def parse_request(head: bytes | None) -> tuple[int, str, str, str, dict[str, str]]:
+    """A request head's (status, method, target, version, headers).
+
+    The status is 0 for a usable head; otherwise it refuses the head: 431
+    for None (past MAX_HEAD_BYTES) or too many fields, 400 for a malformed
+    or ambiguous one, 505 from HTTP/2 on. Method and target stay "-" until
+    the request line has been read.
+    """
+    if head is None:
+        return 431, "-", "-", "", {}
+    lines = head_lines(head)
+    parts = lines[0].split(" ") if lines is not None else []
+    if len(parts) != 3 or not TOKEN.fullmatch(parts[0]) or not parts[1]:
+        return 400, "-", "-", "", {}
+    method, target, version = parts
+    if target.startswith("//"):
+        target = "/" + target.lstrip("/")  # "//host/x" could read as a scheme-relative URL
+    if version not in ("HTTP/1.1", "HTTP/1.0"):
+        return 505 if _LATER_VERSION.fullmatch(version) else 400, method, target, version, {}
+    headers = parse_fields(lines[1:], _SINGLETON_FIELDS)
+    if isinstance(headers, int):
+        return headers, method, target, version, {}
+    return 0, method, target, version, headers
+
+
 def _end_reading(connection: socket.socket) -> None:
     """A handler waiting for its next request reads end-of-stream at once."""
     try:
@@ -315,88 +340,56 @@ class Handler(socketserver.BaseRequestHandler):
 
     def _serve_one(self) -> bool:
         """Read and answer one request; False once the connection is to close."""
-        self.command = self.path = "-"
-        self.close_connection = True
-        self._body_pending = False
         if not self.stream.buffer and not self.stream.receive(time.monotonic() + self.timeout):
             return False
-        self._deadline = time.monotonic() + HEAD_TIMEOUT_S  # from the request's first byte
-        head = self.stream.head(self._deadline)
+        deadline = time.monotonic() + HEAD_TIMEOUT_S  # from the request's first byte
+        head = self.stream.head(deadline)
         if not self.server.mark(self.request, waiting=False):
             return False
-        status = self._parse_head(head) if head is not None else 431
+        status, method, target, version, headers = parse_request(head)
+        path, _, query = target.partition("?")
         if status:
-            self.send(Reply(status))
+            self.send(method, path, Reply(status), close=True)
             return False
-        path, _, query = self.path.partition("?")
-        route = self.server.routes.get((self.command, path))
-        if route is None:
-            self.send(Reply(404 if self.command in ("GET", "POST") else 501))
-            return not self.close_connection
-        body = self.read_body() if self.command == "POST" else b""
-        if body is None:
-            return False
-        try:
-            reply = route(query, self.headers, body)
-        except Exception:
-            self.server.log.exception("unhandled server error")
-            reply = Reply(500)
-        self.send(reply)
-        return not self.close_connection
-
-    def _parse_head(self, head: bytearray) -> int:
-        """Take in the request line and header fields; the error status, or 0."""
-        lines = head_lines(head)
-        if lines is None:
-            return 400
-        parts = lines[0].split(" ")
-        if len(parts) != 3 or not TOKEN.fullmatch(parts[0]) or not parts[1]:
-            return 400
-        self.command, target, version = parts
-        # "//host/x" could read as a scheme-relative URL: keep one "/".
-        self.path = "/" + target.lstrip("/") if target.startswith("//") else target
-        if version not in ("HTTP/1.1", "HTTP/1.0"):
-            return 505 if _LATER_VERSION.fullmatch(version) else 400
-        headers = parse_fields(lines[1:], _SINGLETON_FIELDS)
-        if isinstance(headers, int):
-            return headers
-        self.headers, self._version = headers, version
-        # The body's framing is decided here.
-        self._length = content_length(headers.get("content-length", "0"))
-        self._refusal = (
+        # The body's framing is decided here. Only a routed POST reads its
+        # body; one left unread would be parsed as the next request, so its
+        # reply closes the connection (RFC 9112 §6.3, §9.3).
+        length = content_length(headers.get("content-length", "0"))
+        refusal = (
             411 if "transfer-encoding" in headers  # only Content-Length framing is read
-            else 400 if self._length < 0
-            else 413 if self._length > MAX_BODY_BYTES
+            else 400 if length < 0
+            else 413 if length > MAX_BODY_BYTES
             else 0
         )
-        self._body_pending = bool(self._refusal or self._length)
-        self.close_connection = closes_connection(version, headers)
-        return 0
+        unread = bool(refusal or length)
+        route = self.server.routes.get((method, path))
+        if route is None:
+            reply = Reply(404 if method in ("GET", "POST") else 501)
+        elif method == "POST" and refusal:
+            reply = Reply(refusal)
+        else:
+            body = b""
+            if method == "POST":
+                if headers.get("expect", "").lower() == "100-continue" and version == "HTTP/1.1":
+                    self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                self.stream.receive_until(length, deadline)
+                body, unread = self.stream.take(length), False
+            try:
+                reply = route(query, headers, body)
+            except Exception:
+                self.server.log.exception("unhandled server error")
+                reply = Reply(500)
+        close = unread or closes_connection(version, headers) or self.server.stopping
+        self.send(method, path, reply, close)
+        return not close
 
-    def read_body(self) -> bytes | None:
-        """The request body, or None once the connection is to close."""
-        if self._refusal:
-            self.send(Reply(self._refusal))
-            return None
-        if self.headers.get("expect", "").lower() == "100-continue" and self._version == "HTTP/1.1":
-            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        self.stream.receive_until(self._length, self._deadline)
-        self._body_pending = False
-        return self.stream.take(self._length)
-
-    def send(self, reply: Reply) -> None:
+    def send(self, method: str, path: str, reply: Reply, close: bool) -> None:
         """Send one complete response and write its access-log line.
 
         The line carries the path without its query, which may hold a
         credential (RFC 6750 §5.3). It is logged before the reply is
         sent, so a client holding its reply can already find the line.
-        A request body left unread would be parsed as the next request, so
-        such a reply closes the connection, as does every reply once the
-        server is stopping.
         """
-        path = self.path.partition("?")[0]
         reason = _REASONS.get(reply.status, "")
-        self.server.log.info('"%s %s HTTP/1.1" %d %s', self.command, path, reply.status, reason)
-        if self._body_pending or self.server.stopping:
-            self.close_connection = True
-        self.request.sendall(_response(reply, self.close_connection))
+        self.server.log.info('"%s %s HTTP/1.1" %d %s', method, path, reply.status, reason)
+        self.request.sendall(_response(reply, close))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 import secrets
 import threading
@@ -416,7 +415,8 @@ class IdpConfig:
 
 
 def _json_reply(doc: dict[str, Any], status: int = 200) -> Reply:
-    return Reply(status, {"Content-Type": "application/json"}, json.dumps(doc).encode("utf-8"))
+    body = protocol.encode_json(doc).encode("utf-8")
+    return Reply(status, {"Content-Type": "application/json"}, body)
 
 
 def _error_reply(exc: IdpError) -> Reply:

@@ -361,7 +361,9 @@ class JwksCache:
 
     It also remembers up to MAX_VERIFIED_TOKENS tokens whose signature the
     current set verified (see VerifiedToken), dropping the least recently
-    recalled first, and forgets them all whenever it stores a new set.
+    recalled first, and forgets them all whenever it stores a new set. A
+    token is recalled only while that set is fresh, and a recall that
+    answers counts as a hit, as get() would.
     """
 
     def __init__(
@@ -447,9 +449,11 @@ class JwksCache:
             return jwk_set
 
     def recall(self, token: str) -> VerifiedToken | None:
+        """What the current set verified of ``token``, while that set is fresh; a hit."""
         with self._lock:
-            verified = self._verified.get(token)
+            verified = self._verified.get(token) if self._fresh_entry() is not None else None
             if verified is not None:
+                self.hits += 1
                 self._verified.move_to_end(token)
             return verified
 
@@ -505,16 +509,14 @@ def verify_bearer(
     if the refresh fails it fails with JwksUnreachable, the cached keys
     kept for every other token.
 
-    A token whose signature the cache's current key set has already
-    verified is not parsed or verified again. Under the config its claims
-    passed, only their lifetime window is checked again, and nothing is
-    logged. Any other call logs "Verifying token..." and validates the
+    A token whose signature the cache's current key set, still fresh, has
+    already verified is not parsed or verified again. Under the config its
+    claims passed, only their lifetime window is checked again, and nothing
+    is logged. Any other call logs "Verifying token..." and validates the
     claims in full, then "Authenticated user: <masked>" once they pass.
     """
     now = time.time() if now is None else now
     verified = cache.recall(token)
-    if verified is not None and verified.keys is not cache.get():
-        verified = None
     if verified is not None and verified.config == config:
         _check_lifetime(verified.claims, now, DEFAULT_CLOCK_SKEW)
         return verified.identity

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import fcntl
 import hashlib
 import json
 import logging
@@ -591,6 +592,62 @@ class TestTokenStore:
         store = TokenStore(str(tmp_path / "t.json"))
         for i in range(5):
             store.put(f"http://rs{i}/mcp", "tok", expires_at=9_999_999_999)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+    def test_concurrent_puts_keep_both_entries(self, tmp_path, monkeypatch):
+        """Writer A reads the file, then waits until writer B has written or waits to."""
+        path = str(tmp_path / "t.json")
+        writer_a, writer_b = TokenStore(path), TokenStore(path)
+        b_settled = threading.Event()
+        b_thread = threading.Thread(target=lambda: (
+            writer_b.put("http://rs-b/mcp", "tok-b", expires_at=9_999_999_999), b_settled.set()
+        ))
+        real_flock, real_load = fcntl.flock, writer_a._load
+        lock_modes = []
+
+        def flock(fd, operation):
+            if threading.current_thread() is b_thread:
+                b_settled.set()  # B is about to wait for the lock
+            return real_flock(fd, operation)
+
+        def load_then_let_b_in():
+            entries = real_load()
+            lock = path + ".lock"
+            lock_modes.append(stat.S_IMODE(os.stat(lock).st_mode) if os.path.exists(lock) else None)
+            b_thread.start()
+            assert b_settled.wait(timeout=10)
+            return entries
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        monkeypatch.setattr(writer_a, "_load", load_then_let_b_in)
+        writer_a.put("http://rs-a/mcp", "tok-a", expires_at=9_999_999_999)
+        b_thread.join(timeout=10)
+        assert not b_thread.is_alive()
+        reader = TokenStore(path)
+        assert [reader.get(f"http://rs-{w}/mcp") is not None for w in "ab"] == [True, True]
+        assert lock_modes == [0o600]
+
+    def test_many_writers_lose_no_entry(self, tmp_path):
+        path = str(tmp_path / "t.json")
+
+        def writer(w: int) -> None:
+            store = TokenStore(path)
+            for i in range(5):
+                store.put(f"http://rs-{w}-{i}/mcp", "tok", expires_at=9_999_999_999)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        reader = TokenStore(path)
+        assert all(reader.get(f"http://rs-{w}-{i}/mcp") for w in range(8) for i in range(5))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
     def test_multiple_resources_kept_separate(self, tmp_path):

@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from http import HTTPStatus
 from urllib.parse import urlsplit
 
 import pytest
@@ -86,6 +87,14 @@ def test_two_requests_on_one_socket_get_two_replies(target):
 SMUGGLED = get("/smuggled")
 
 
+def access_lines(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith('"')]
+
+
+def access_line(request: str, status: int) -> str:
+    return f'"{request} HTTP/1.1" {status} {HTTPStatus(status).phrase}'
+
+
 @pytest.mark.parametrize(
     "head, body, status",
     [
@@ -97,24 +106,31 @@ SMUGGLED = get("/smuggled")
          SMUGGLED, 413),
         ("POST {post} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
          b"%x\r\n%s\r\n0\r\n\r\n" % (len(SMUGGLED), SMUGGLED), 411),
+        ("GET {get} HTTP/1.1\r\nContent-Length: {n}\r\n", SMUGGLED, 200),
     ],
     ids=[
         "unknown-path", "bad-length", "negative-length", "two-lengths", "agreeing-lengths-over-cap",
-        "chunked",
+        "chunked", "get-with-body",
     ],
 )
-def test_reply_without_reading_the_body_closes_the_connection(target, head, body, status):
+def test_reply_without_reading_the_body_closes_the_connection(
+    target, caplog, head, body, status
+):
+    caplog.set_level(logging.INFO)
     sock, rfile = connect(target.port)
     with sock, rfile:
         kept_alive_exchange(sock, rfile, target)
         request_head = head.format(
-            n=len(body), post=target.post_path, big=httpserve.MAX_BODY_BYTES + 1
+            n=len(body), post=target.post_path, get=target.get_path,
+            big=httpserve.MAX_BODY_BYTES + 1,
         )
         sock.sendall(f"{request_head}Host: t\r\n\r\n".encode() + body)
         got, headers, _ = read_reply(rfile)
         assert got == status
         assert headers["connection"].lower() == "close"
         assert read_reply(rfile) is None  # no reply to the unread bytes
+    request = request_head.partition(" HTTP/1.1")[0]
+    assert access_lines(caplog)[-1] == access_line(request, status)
 
 
 def test_oversized_content_length_gets_413(target):
@@ -340,26 +356,29 @@ def test_head_that_could_hide_a_credential_gets_400_and_no_audit_record(stack, c
 
 
 @pytest.mark.parametrize(
-    "head, status",
+    "head, status, logged",
     [
-        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept : */*\r\n", 400),
-        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept: a,\r\n\tb\r\n", 400),
-        ("GET {get} HTTP/1.1\r\nHost: t\r\nHost: u\r\n", 400),
-        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept: a\rb\r\n", 400),
-        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept: a\0b\r\n", 400),
-        ("GET {get} HTTP/1.1\r\nHost: t\r\n: empty-name\r\n", 400),
-        ("GET {get}\r\nHost: t\r\n", 400),
-        ("GET {get} HTTP/1.2\r\nHost: t\r\n", 400),
-        ("GET {get} HTTP/2.0\r\nHost: t\r\n", 505),
-        ("GET {get} HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n", 431),
-        ("GET {get} HTTP/1.1\r\n{many}", 431),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept : */*\r\n", 400, "GET {get}"),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept: a,\r\n\tb\r\n", 400, "GET {get}"),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\nHost: u\r\n", 400, "GET {get}"),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept: a\rb\r\n", 400, "- -"),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\nAccept: a\0b\r\n", 400, "- -"),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\n: empty-name\r\n", 400, "GET {get}"),
+        ("GET {get}\r\nHost: t\r\n", 400, "- -"),
+        ("GET {get} HTTP/1.2\r\nHost: t\r\n", 400, "GET {get}"),
+        ("GET {get} HTTP/2.0\r\nHost: t\r\n", 505, "GET {get}"),
+        ("GET {get} HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n", 431, "- -"),
+        ("GET {get} HTTP/1.1\r\n{many}", 431, "GET {get}"),
     ],
     ids=[
         "space-before-colon", "obs-fold", "repeated-host", "bare-cr", "nul",
         "empty-name", "no-version", "http-1.2", "http-2", "65-KiB-head", "101-fields",
     ],
 )
-def test_malformed_or_oversized_head_gets_its_status_and_closes(target, head, status):
+def test_malformed_or_oversized_head_gets_its_status_and_closes(
+    target, caplog, head, status, logged
+):
+    caplog.set_level(logging.INFO)
     request_head = head.format(
         get=target.get_path,
         pad="x" * (65 << 10),
@@ -370,6 +389,9 @@ def test_malformed_or_oversized_head_gets_its_status_and_closes(target, head, st
         kept_alive_exchange(sock, rfile, target)
         sock.sendall(f"{request_head}\r\n".encode("latin-1"))
         assert refused(rfile) == status
+        assert read_reply(rfile) is None
+    # The request line is logged once it has been read.
+    assert access_lines(caplog)[-1] == access_line(logged.format(get=target.get_path), status)
 
 
 def test_head_at_the_field_limit_is_served(target):

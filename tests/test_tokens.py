@@ -874,3 +874,17 @@ class TestVerificationLog:
         assert logged(caplog, token, make_config(), cache, now=exp) == [VERIFYING, AUTHENTICATED]
         late = exp + DEFAULT_CLOCK_SKEW + 1
         assert logged(caplog, token, make_config(), cache, raises=Expired, now=late) == []
+
+    def test_a_remembered_token_under_a_stale_set_is_refused_as_a_new_one_is(self, signer, caplog):
+        clock = [0.0]
+        fetcher = CountingFetcher(signer)
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=fetcher, clock=lambda: clock[0])
+        token = signer.issue_token_for("developer-persona")
+        never_seen = signer.issue_token_for("developer-persona")
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        clock[0], fetcher.down = 300.0, True  # ttl passed, the provider unreachable
+        for each in (token, never_seen):
+            assert logged(caplog, each, make_config(), cache, raises=JwksUnreachable) == [VERIFYING]
+        fetcher.down = False
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        assert logged(caplog, token, make_config(), cache) == []
