@@ -2,14 +2,15 @@
 
 The sink knows no record schema: the server builds each record, and the
 sink writes it as one compact JSON line, its keys in the order given. It
-is fail-closed: if a record cannot be written and flushed, the request
-that produced it must fail rather than complete unrecorded. "Flushed"
-means handed to the operating system before the reply is sent; records
-are not fsync'd, so a host crash can still lose the last few.
+is fail-closed: if a record cannot be handed to the operating system,
+in one write(2) to an O_APPEND descriptor before the reply is sent, the
+request that produced it must fail rather than complete unrecorded.
+Records are not fsync'd, so a host crash can still lose the last few.
 
-The append handle stays open between records. Before each record the
-path is checked against it, so a file renamed or removed (rotation) is
-followed by a new file at the path.
+The descriptor stays open between records. Before each record the path
+is checked against it, so a file renamed or removed (rotation) is
+followed by a new file at the path. A short write fails its record and
+leaves a partial line; the next open ends that line with a newline.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ class AuditLog:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        self._file = None
+        self._fd: int | None = None
         self._file_id: tuple[int, int] | None = None  # (st_dev, st_ino) of the open file
 
-    def _handle(self):
-        """The open append handle, reopened when the path no longer names its file."""
+    def _descriptor(self) -> int:
+        """The open descriptor, reopened when the path no longer names its file."""
         try:
             stat = os.stat(self.path)
             current = (stat.st_dev, stat.st_ino) == self._file_id
@@ -43,26 +44,29 @@ class AuditLog:
             current = False
         if not current:
             self._drop()
-            self._file = open(self.path, "a", encoding="utf-8")
-            stat = os.fstat(self._file.fileno())
+            # Readable too: its last byte tells whether a torn line ends the file.
+            self._fd = fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            stat = os.fstat(fd)
+            if stat.st_size and os.pread(fd, 1, stat.st_size - 1) != b"\n":
+                os.write(fd, b"\n")
             self._file_id = (stat.st_dev, stat.st_ino)
-        return self._file
+        return self._fd  # type: ignore[return-value]
 
     def _drop(self) -> None:
-        file, self._file, self._file_id = self._file, None, None
-        if file is not None:
+        fd, self._fd, self._file_id = self._fd, None, None
+        if fd is not None:
             try:
-                file.close()
+                os.close(fd)
             except OSError:
                 pass  # the failure was reported by the append that hit it
 
     def append(self, record: dict[str, Any]) -> None:
-        line = protocol.encode_json(record) + "\n"
+        data = (protocol.encode_json(record) + "\n").encode("utf-8")
         with self._lock:
             try:
-                fh = self._handle()
-                fh.write(line)
-                fh.flush()
+                written = os.write(self._descriptor(), data)
+                if written != len(data):
+                    raise OSError(f"short write: {written} of {len(data)} bytes")
             except OSError as exc:
                 self._drop()
                 raise AuditSinkFailure(f"cannot append to {self.path!r}: {exc}") from exc

@@ -111,6 +111,18 @@ def _report(
     )
 
 
+def _bench_verify(
+    scenario: str, ttl: float, idp: MockIdp, resource: str, iterations: int, warmup: int,
+    persona: str,
+) -> BenchReport:
+    """The verify scenarios: one token verified again and again under a key cache ttl."""
+    token = idp.issue_token_for(persona)
+    cache = JwksCache(idp.issuer, ttl=ttl)
+    config = VerifierConfig(resource=resource)
+    samples = _timed_loop(lambda: verify_bearer(token, config, cache), iterations, warmup)
+    return _report(scenario, samples, cache.snapshot())
+
+
 def bench_cache_hit(
     idp: MockIdp,
     resource: str,
@@ -119,13 +131,7 @@ def bench_cache_hit(
     persona: str = "developer-persona",
 ) -> BenchReport:
     """verify_bearer against a warm key cache (one initial fetch only)."""
-    token = idp.issue_token_for(persona)
-    cache = JwksCache(idp.issuer, ttl=86400.0)
-    config = VerifierConfig(resource=resource)
-    samples = _timed_loop(
-        lambda: verify_bearer(token, config, cache), iterations, warmup
-    )
-    return _report(SCENARIO_CACHE_HIT, samples, cache.snapshot())
+    return _bench_verify(SCENARIO_CACHE_HIT, 86400.0, idp, resource, iterations, warmup, persona)
 
 
 def bench_cache_miss(
@@ -136,13 +142,7 @@ def bench_cache_miss(
     persona: str = "developer-persona",
 ) -> BenchReport:
     """verify_bearer with ttl 0: every validation refetches the keys."""
-    token = idp.issue_token_for(persona)
-    cache = JwksCache(idp.issuer, ttl=0.0)
-    config = VerifierConfig(resource=resource)
-    samples = _timed_loop(
-        lambda: verify_bearer(token, config, cache), iterations, warmup
-    )
-    return _report(SCENARIO_CACHE_MISS, samples, cache.snapshot())
+    return _bench_verify(SCENARIO_CACHE_MISS, 0.0, idp, resource, iterations, warmup, persona)
 
 
 def bench_end_to_end(

@@ -326,8 +326,8 @@ class MockIdp:
                 f"{client_id!r}; add the exact URL (scheme, host, port and path) "
                 f"to the client's registered redirect list"
             )
-        if params.get("response_type", "code") != "code":
-            raise IdpError("only response_type=code is supported")
+        if params.get("response_type") != "code":  # RFC 6749 §4.1.1: REQUIRED
+            raise IdpError("response_type is required and must be code")
         challenge = params.get("code_challenge", "")
         if not challenge:
             raise MissingPkceChallenge("code_challenge is required (PKCE mandatory)")

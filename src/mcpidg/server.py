@@ -3,8 +3,8 @@
 Serves the OAuth-protected-resource discovery document, challenges
 unauthenticated requests with a machine-followable WWW-Authenticate
 header, validates bearer tokens before the JSON-RPC request is decoded,
-dispatches authorized tool calls, and appends one audit record per tool
-invocation (fail-closed).
+dispatches authorized tool calls, and appends one audit record per
+access decision (fail-closed).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .audit import AuditLog, AuditSinkFailure
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
 from .tokens import (
-    InsufficientScope, JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
+    InsufficientScope, JwksCache, TokenError, VerifierConfig, verify_bearer,
 )
 
 log = logging.getLogger("mcpidg.server")
@@ -70,6 +70,17 @@ def extract_bearer(headers: dict[str, str], doc: Any) -> str | None:
     return None
 
 
+INITIALIZE_RESULT = {
+    "protocolVersion": "2025-06-18",
+    "capabilities": {"tools": {"listChanged": False}},
+    "serverInfo": {"name": "mcpidg", "version": __version__},
+}
+
+
+def _rpc_reply(response: protocol.RpcResponse) -> Reply:
+    return Reply(200, {"Content-Type": "application/json"}, protocol.encode_response(response))
+
+
 class McpApp:
     """Transport-independent request pipeline behind the server's routes."""
 
@@ -114,63 +125,16 @@ class McpApp:
         """The route serving the discovery document."""
         return Reply(200, {"Content-Type": "application/json"}, self.metadata)
 
-    def _rpc_result(self, response: protocol.RpcResponse) -> Reply:
-        return Reply(
-            status=200,
-            headers={"Content-Type": "application/json"},
-            body=protocol.encode_response(response),
-        )
-
-    def _rpc_error(
-        self,
-        request_id: protocol.RequestId | None,
-        code: int,
-        message: str,
-        data: Any = None,
-    ) -> Reply:
-        return self._rpc_result(protocol.error_response(request_id, code, message, data))
-
-    # -- audit -------------------------------------------------------------
-
-    def _audit(
-        self,
-        identity: ValidatedIdentity | None,
-        tool: str,
-        decision: str,
-        deny_reason: dict[str, Any] | None,
-        validation_us: int,
-        started: float,
-    ) -> bool:
-        """Append the audit record of one decision: its keys, in this order.
-
-        ``identity`` is None when unauthenticated. The subject is unmasked;
-        console logs carry the masked form. Returns False, after logging,
-        when the sink fails; the decision must then not be carried out.
-        """
-        record: dict[str, Any] = {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "request_id": str(uuid.uuid4()),
-            "subject": identity.subject if identity else "-",
-            "roles": sorted(identity.roles) if identity else [],
-            "scopes": sorted(identity.scopes) if identity else [],
-            "tool": tool,
-            "decision": decision,
-        }
-        if deny_reason is not None:
-            record["deny_reason"] = deny_reason
-        record["validation_latency_us"] = validation_us
-        record["total_latency_us"] = int((time.perf_counter() - started) * 1e6)
-        try:
-            self.audit.append(record)
-        except AuditSinkFailure as exc:
-            log.error("audit sink failure: %s", exc)
-            return False
-        return True
-
     # -- pipeline ----------------------------------------------------------
 
     def handle_mcp_post(self, headers: dict[str, str], body: bytes) -> Reply:
-        """Authentication strictly precedes JSON-RPC decoding and dispatch."""
+        """Authentication strictly precedes JSON-RPC decoding and dispatch.
+
+        One pass: decide the outcome, answering at once those that leave no
+        audit record; append the one record of an unauthenticated request
+        or a tools/call decision; answer. The record reaches the sink before
+        a challenge, a deny or a tool handler, or the decision is not carried out.
+        """
         started = time.perf_counter()
 
         # A body that is not JSON is answered only after authentication.
@@ -180,7 +144,7 @@ class McpApp:
         except protocol.ParseError as exc:
             doc, parse_error = None, exc
 
-        # Each unauthenticated outcome is a challenge with one audit record.
+        # 1. Decide. Each unauthenticated outcome is a challenge with a record.
         identity, reason, error, validation_us = None, "no_token", None, 0
         try:
             token = extract_bearer(headers, doc)
@@ -195,102 +159,102 @@ class McpApp:
             except TokenError:
                 reason = error = "invalid_token"
             validation_us = int((time.perf_counter() - validation_started) * 1e6)
-        if identity is None:
-            if self._audit(None, "-", "unauthenticated", {"kind": reason}, validation_us, started):
-                return self.challenge(error)
-            # No challenge: a token fetched now could not be used while the sink is down.
-            return Reply(status=503, headers={"Retry-After": "1"})
 
-        if parse_error is not None:
-            return self._rpc_error(None, parse_error.code, str(parse_error))
-        try:
-            request = protocol.decode_request(doc)
-        except protocol.InvalidRequest as exc:
-            return self._rpc_error(exc.request_id, exc.code, str(exc))
+        tool, outcome, deny_reason = "-", "unauthenticated", {"kind": reason}
+        if identity is not None:
+            if parse_error is not None:
+                return _rpc_reply(protocol.error_response(None, parse_error.code, str(parse_error)))
+            try:
+                request = protocol.decode_request(doc)
+            except protocol.InvalidRequest as exc:
+                return _rpc_reply(protocol.error_response(exc.request_id, exc.code, str(exc)))
+            if request.is_notification:
+                # Notifications never receive an RPC body, even for unknown
+                # methods; the transport acknowledges with 202.
+                return Reply(status=202)
+            if request.method == "initialize":
+                return _rpc_reply(protocol.RpcResponse(request.id, INITIALIZE_RESULT))
+            if request.method == "tools/list":
+                tools = visible_tools(identity, self.policy, self.registry)
+                result = {
+                    "tools": [
+                        {
+                            "name": t.name,
+                            "description": t.description,
+                            "required_scopes": sorted(t.required_scopes),
+                        }
+                        for t in tools
+                    ]
+                }
+                return _rpc_reply(protocol.RpcResponse(request.id, result))
+            if request.method != "tools/call":
+                if request.method in protocol.METHODS:
+                    # Only notification methods remain; carrying an id is a shape error.
+                    return _rpc_reply(protocol.error_response(
+                        request.id, protocol.INVALID_REQUEST,
+                        f"method {request.method!r} is a notification and must not carry an id",
+                    ))
+                return _rpc_reply(protocol.error_response(
+                    request.id, protocol.METHOD_NOT_FOUND, f"method not found: {request.method}"
+                ))
+            params = request.params or {}
+            tool, arguments = params.get("name"), params.get("arguments", {})
+            if not isinstance(tool, str) or not tool or not isinstance(arguments, dict):
+                return _rpc_reply(protocol.error_response(
+                    request.id, protocol.INVALID_PARAMS,
+                    "tools/call requires a string 'name' and an object 'arguments'",
+                ))
+            decision = authorize(identity, tool, self.policy, self.registry)
+            outcome, deny_reason = decision.outcome, None
+            if not decision.allowed:
+                deny_reason = {"kind": decision.reason}
+                if decision.missing_scopes:
+                    deny_reason["missing"] = sorted(decision.missing_scopes)
 
-        if request.is_notification:
-            # Notifications never receive an RPC body, even for unknown
-            # methods; the transport acknowledges with 202.
-            return Reply(status=202)
-
-        if request.method == "initialize":
-            return self._rpc_result(
-                protocol.RpcResponse(id=request.id, result=self._initialize_result())
-            )
-        if request.method == "tools/list":
-            tools = visible_tools(identity, self.policy, self.registry)
-            result = {
-                "tools": [
-                    {
-                        "name": t.name,
-                        "description": t.description,
-                        "required_scopes": sorted(t.required_scopes),
-                    }
-                    for t in tools
-                ]
-            }
-            return self._rpc_result(protocol.RpcResponse(id=request.id, result=result))
-        if request.method == "tools/call":
-            return self._handle_tool_call(request, identity, validation_us, started)
-        if request.method in protocol.METHODS:
-            # Only notification methods remain; carrying an id is a shape error.
-            return self._rpc_error(
-                request.id, protocol.INVALID_REQUEST,
-                f"method {request.method!r} is a notification and must not carry an id",
-            )
-        return self._rpc_error(
-            request.id, protocol.METHOD_NOT_FOUND, f"method not found: {request.method}"
-        )
-
-    def _initialize_result(self) -> dict[str, Any]:
-        return {
-            "protocolVersion": "2025-06-18",
-            "capabilities": {"tools": {"listChanged": False}},
-            "serverInfo": {"name": "mcpidg", "version": __version__},
+        # 2. Audit: the record's keys, in this order. The subject is
+        # unmasked; console logs carry the masked form.
+        record: dict[str, Any] = {
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "request_id": str(uuid.uuid4()),
+            "subject": identity.subject if identity else "-",
+            "roles": sorted(identity.roles) if identity else [],
+            "scopes": sorted(identity.scopes) if identity else [],
+            "tool": tool,
+            "decision": outcome,
         }
-
-    def _handle_tool_call(
-        self,
-        request: protocol.RpcRequest,
-        identity,
-        validation_us: int,
-        started: float,
-    ) -> Reply:
-        params = request.params or {}
-        name = params.get("name")
-        arguments = params.get("arguments", {})
-        if not isinstance(name, str) or not name or not isinstance(arguments, dict):
-            return self._rpc_error(
-                request.id, protocol.INVALID_PARAMS,
-                "tools/call requires a string 'name' and an object 'arguments'",
-            )
-
-        decision = authorize(identity, name, self.policy, self.registry)
-        deny_reason: dict[str, Any] | None = None
-        if not decision.allowed:
-            deny_reason = {"kind": decision.reason}
-            if decision.missing_scopes:
-                deny_reason["missing"] = sorted(decision.missing_scopes)
-
-        if not self._audit(identity, name, decision.outcome, deny_reason, validation_us, started):
-            return self._rpc_error(
+        if deny_reason is not None:
+            record["deny_reason"] = deny_reason
+        record["validation_latency_us"] = validation_us
+        record["total_latency_us"] = int((time.perf_counter() - started) * 1e6)
+        try:
+            self.audit.append(record)
+        except AuditSinkFailure as exc:
+            log.error("audit sink failure: %s", exc)
+            if identity is None:
+                # No challenge: a token fetched now could not be used while the sink is down.
+                return Reply(status=503, headers={"Retry-After": "1"})
+            return _rpc_reply(protocol.error_response(
                 request.id, protocol.INTERNAL_ERROR, "audit sink unavailable"
-            )
+            ))
 
+        # 3. Answer.
+        if identity is None:
+            return self.challenge(error)
         if not decision.allowed:
-            data = {"reason": decision.reason, "tool": name}
+            data = {"reason": decision.reason, "tool": tool}
             if decision.missing_scopes:
                 data["missing_scopes"] = sorted(decision.missing_scopes)
-            return self._rpc_error(request.id, protocol.FORBIDDEN, "forbidden", data)
-
-        try:
-            payload = self.registry.call(name, arguments)
-        except Exception:
-            log.exception("tool handler %r failed", name)
-            return self._rpc_error(
-                request.id, protocol.INTERNAL_ERROR, "tool handler failure"
+            return _rpc_reply(
+                protocol.error_response(request.id, protocol.FORBIDDEN, "forbidden", data)
             )
-        return self._rpc_result(protocol.RpcResponse(id=request.id, result=payload))
+        try:
+            payload = self.registry.call(tool, arguments)
+        except Exception:
+            log.exception("tool handler %r failed", tool)
+            return _rpc_reply(protocol.error_response(
+                request.id, protocol.INTERNAL_ERROR, "tool handler failure"
+            ))
+        return _rpc_reply(protocol.RpcResponse(request.id, payload))
 
 
 class ServerHandle(httpserve.HttpServer):

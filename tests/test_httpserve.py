@@ -646,7 +646,7 @@ def test_warm_tool_calls_neither_verify_a_signature_nor_open_the_audit_file(
         assert read_reply(rfile)[0] == 200
         monkeypatch.setattr(tokens, "verify_signature",
                             counted("verify_signature", tokens.verify_signature))
-        monkeypatch.setattr(audit, "open", counted("open", open), raising=False)
+        monkeypatch.setattr(audit.os, "open", counted("os.open", audit.os.open))
         for _ in range(20):
             sock.sendall(call)
             status, _, body = read_reply(rfile)

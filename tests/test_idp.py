@@ -8,6 +8,7 @@ import oracles
 from conftest import TEST_ISSUER, TEST_RESOURCE
 from mcpidg import httpclient
 from mcpidg.idp import (
+    IdpError,
     InvalidGrant,
     MissingPkceChallenge,
     MockIdp,
@@ -95,6 +96,15 @@ class TestAuthorize:
             idp_core.handle_authorize(
                 authorize_params(generate_pkce(), code_challenge_method="plain")
             )
+
+    @pytest.mark.parametrize("response_type", [None, "token"], ids=["absent", "token"])
+    def test_response_type_other_than_code_is_invalid_request(self, idp_core, response_type):
+        params = authorize_params(generate_pkce(), response_type=response_type)
+        if response_type is None:
+            del params["response_type"]  # RFC 6749 §4.1.1: REQUIRED
+        with pytest.raises(IdpError) as excinfo:
+            idp_core.handle_authorize(params)
+        assert excinfo.value.oauth_error == "invalid_request"
 
     def test_scopes_intersected_with_grantable(self, idp_core):
         pkce = generate_pkce()
@@ -392,6 +402,14 @@ class TestHttpSurface:
         assert token_reply.status == 400
         assert token_reply.json()["error"] == "invalid_request"
         assert "access_token" not in token_reply.json()
+
+    def test_authorize_request_without_response_type_is_invalid_request(self, stack):
+        params = authorize_params(generate_pkce())
+        del params["response_type"]
+        reply = httpclient.get(f"{stack.issuer}/authorize?{urlencode(params)}")
+        assert reply.status == 400
+        assert reply.json()["error"] == "invalid_request"
+        assert reply.header("location") is None
 
     def test_authorize_request_past_the_field_cap_is_invalid_request(self, stack):
         params = dict(authorize_params(generate_pkce()), **{f"pad{i}": "x" for i in range(40)})

@@ -7,7 +7,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding
 
 from conftest import mcp_post, rpc
-from mcpidg import harness, httpclient, protocol
+from mcpidg import audit, harness, httpclient, protocol
 from mcpidg.audit import AuditSinkFailure, AuditLog, read_records
 from mcpidg.httpserve import BindFailure
 from mcpidg.policy import authorize
@@ -582,6 +582,25 @@ class TestAudit:
         finally:
             sink.close()
         assert len(read_records(path)) == 2
+
+    def test_torn_record_is_ended_before_the_next_one(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "audit.jsonl")
+        real_write = os.write
+        sink = AuditLog(path)
+        try:
+            sink.append({"n": 1})
+            sink.close()  # the next open finds a file that ends its last line
+            sink.append({"n": 2})
+            monkeypatch.setattr(audit.os, "write", lambda fd, data: real_write(fd, data[:5]))
+            with pytest.raises(AuditSinkFailure, match="5 of 14 bytes"):
+                sink.append({"n": {"n": 3}})
+            monkeypatch.undo()
+            sink.append({"n": 4})
+            sink.append({"n": 5})
+        finally:
+            sink.close()
+        with open(path, "rb") as fh:
+            assert fh.read() == b'{"n":1}\n{"n":2}\n{"n":\n{"n":4}\n{"n":5}\n'
 
 
 class TestServeLifecycle:
