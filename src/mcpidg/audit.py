@@ -15,11 +15,14 @@ leaves a partial line; the next open ends that line with a newline.
 
 from __future__ import annotations
 
+import logging
 import os
 import threading
 from typing import Any
 
 from . import protocol
+
+log = logging.getLogger("mcpidg.audit")
 
 
 class AuditSinkFailure(Exception):
@@ -77,10 +80,17 @@ class AuditLog:
 
 
 def read_records(path: str) -> list[dict[str, Any]]:
-    """Load every record in the sink (test/replay helper)."""
+    """Every whole record in the sink (test/replay helper).
+
+    A line that is not JSON, such as a torn record, is skipped with a
+    warning naming its line number; the records after it are still read.
+    """
     records = []
     with open(path, "rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                records.append(protocol.parse_json(line))
+                try:
+                    records.append(protocol.parse_json(line))
+                except protocol.ParseError as exc:
+                    log.warning("Skipped line %d of %s, not a whole record: %s", number, path, exc)
     return records

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from typing import Any
 from urllib.parse import urlsplit
 
-from . import __version__, httpserve, protocol
+from . import __version__, httpserve, protocol, tokens
 from .audit import AuditLog, AuditSinkFailure
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
@@ -40,7 +40,7 @@ class ServerConfig:
     bind_address: str = "localhost:8000"
     issuer_url: str = "http://localhost:8081/realms/master"
     resource_url: str | None = None  # derived from bind + MCP_PATH when unset
-    required_scopes: frozenset[str] = frozenset({"openid", "profile"})
+    required_scopes: frozenset[str] = tokens.DEFAULT_REQUIRED_SCOPES
     audit_sink: str = "audit.jsonl"
 
 

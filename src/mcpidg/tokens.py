@@ -33,9 +33,11 @@ DEFAULT_JWKS_TTL = 300.0
 # min-time-between-jwks-requests has the same default).
 MIN_REFRESH_INTERVAL_S = 10.0
 DEFAULT_CLOCK_SKEW = 30.0
-# Tokens whose signature a JwksCache remembers (Envoy jwt_authn's default
+# Tokens a JwksCache remembers as accepted (Envoy jwt_authn's default
 # jwt_cache_config size); the least recently used is dropped first.
 MAX_VERIFIED_TOKENS = 100
+# The scopes every bearer token must carry unless a deployment names others.
+DEFAULT_REQUIRED_SCOPES = frozenset({"openid", "profile"})
 
 
 class TokenError(Exception):
@@ -359,10 +361,10 @@ class JwksCache:
     per MIN_REFRESH_INTERVAL_S, so forged kids cannot drive the identity
     provider; a failed one keeps the current set.
 
-    It also remembers up to MAX_VERIFIED_TOKENS tokens whose signature the
-    current set verified (see VerifiedToken), dropping the least recently
-    recalled first, and forgets them all whenever it stores a new set. A
-    token is recalled only while that set is fresh, and a recall that
+    It also remembers up to MAX_VERIFIED_TOKENS accepted tokens (see
+    VerifiedToken), dropping the least recently used first. An entry
+    answers a recall only under the config that accepted it and while the
+    set that verified it is the current one, still fresh; a recall that
     answers counts as a hit, as get() would.
     """
 
@@ -445,23 +447,24 @@ class JwksCache:
             with self._lock:
                 self.misses += 1
                 self._entry = (jwk_set, self._clock())
-                self._verified.clear()
             return jwk_set
 
-    def recall(self, token: str) -> VerifiedToken | None:
-        """What the current set verified of ``token``, while that set is fresh; a hit."""
+    def recall(self, token: str, config: VerifierConfig) -> VerifiedToken | None:
+        """``token`` as accepted under ``config`` by the current, fresh set; a hit."""
         with self._lock:
-            verified = self._verified.get(token) if self._fresh_entry() is not None else None
-            if verified is not None:
-                self.hits += 1
-                self._verified.move_to_end(token)
+            verified = self._verified.get(token)
+            if verified is None or verified.config != config:
+                return None
+            if verified.keys is not self._fresh_entry():
+                return None
+            self.hits += 1
+            self._verified.move_to_end(token)
             return verified
 
     def remember(self, token: str, verified: VerifiedToken) -> None:
         with self._lock:
-            if self._entry is None or self._entry[0] is not verified.keys:
-                return  # replaced while the signature was checked
             self._verified[token] = verified
+            self._verified.move_to_end(token)
             if len(self._verified) > MAX_VERIFIED_TOKENS:
                 self._verified.popitem(last=False)
 
@@ -471,13 +474,12 @@ class JwksCache:
 
 
 class VerifiedToken(NamedTuple):
-    """What a JwksCache remembers of a token its current key set verified."""
+    """An accepted token: the set that verified it, and the config its claims passed."""
 
     keys: JwkSet
     claims: dict[str, Any]
-    # Set once the claims pass validate_claims under ``config``.
-    identity: ValidatedIdentity | None = None
-    config: VerifierConfig | None = None
+    identity: ValidatedIdentity
+    config: VerifierConfig
 
 
 def mask_subject(subject: str) -> str:
@@ -490,7 +492,7 @@ def mask_subject(subject: str) -> str:
 @dataclass(frozen=True)
 class VerifierConfig:
     resource: str
-    required_scopes: frozenset[str] = frozenset({"openid", "profile"})
+    required_scopes: frozenset[str] = DEFAULT_REQUIRED_SCOPES
 
 
 def verify_bearer(
@@ -509,35 +511,32 @@ def verify_bearer(
     if the refresh fails it fails with JwksUnreachable, the cached keys
     kept for every other token.
 
-    A token whose signature the cache's current key set, still fresh, has
-    already verified is not parsed or verified again. Under the config its
-    claims passed, only their lifetime window is checked again, and nothing
-    is logged. Any other call logs "Verifying token..." and validates the
-    claims in full, then "Authenticated user: <masked>" once they pass.
+    A token the cache remembers as accepted under ``config`` (see
+    JwksCache.recall) is not parsed or verified again: only its lifetime
+    window is checked, and nothing is logged. Any other token logs
+    "Verifying token...", is verified and validated in full, and once it
+    passes is remembered and logs "Authenticated user: <masked>".
     """
     now = time.time() if now is None else now
-    verified = cache.recall(token)
-    if verified is not None and verified.config == config:
+    verified = cache.recall(token, config)
+    if verified is not None:
         _check_lifetime(verified.claims, now, DEFAULT_CLOCK_SKEW)
         return verified.identity
     log.info("Verifying token...")
-    if verified is None:
-        jwt = parse_compact(token)
-        keys = cache.get()
-        try:
-            claims = verify_signature(jwt, keys)
-        except UnknownKeyId:
-            keys = cache.get(refresh=True)
-            claims = verify_signature(jwt, keys)
-        verified = VerifiedToken(keys, claims)
-        cache.remember(token, verified)
+    jwt = parse_compact(token)
+    keys = cache.get()
+    try:
+        claims = verify_signature(jwt, keys)
+    except UnknownKeyId:
+        keys = cache.get(refresh=True)
+        claims = verify_signature(jwt, keys)
     identity = validate_claims(
-        verified.claims,
+        claims,
         expected_issuer=cache.issuer,
         expected_resource=config.resource,
         required_scopes=config.required_scopes,
         now=now,
     )
-    cache.remember(token, verified._replace(identity=identity, config=config))
+    cache.remember(token, VerifiedToken(keys, claims, identity, config))
     log.info("Authenticated user: %s", mask_subject(identity.subject))
     return identity

@@ -602,6 +602,15 @@ class TestAudit:
         with open(path, "rb") as fh:
             assert fh.read() == b'{"n":1}\n{"n":2}\n{"n":\n{"n":4}\n{"n":5}\n'
 
+    def test_reading_skips_a_torn_record_and_keeps_the_rest(self, tmp_path, caplog):
+        path = tmp_path / "audit.jsonl"
+        path.write_bytes(b'{"n":1}\n{"n":\n{"n":4}\n')
+        with caplog.at_level(logging.WARNING, logger="mcpidg.audit"):
+            assert read_records(str(path)) == [{"n": 1}, {"n": 4}]
+        [warning] = caplog.records
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage().startswith(f"Skipped line 2 of {path}, not a whole record")
+
 
 class TestServeLifecycle:
     def test_occupied_port_is_bind_failure(self, stack, tmp_path):

@@ -671,7 +671,7 @@ class TestVerifiedTokenMemo:
         clock[0] = 300.0
         with pytest.raises(UnknownKeyId):
             verify_bearer(token, make_config(), cache)
-        assert cache.recall(token) is None, "a new key set forgets every token"
+        assert cache.recall(token, make_config()) is None, "a new key set forgets every token"
 
     def test_failed_signature_is_never_remembered(self, signer, signature_checks):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
@@ -681,7 +681,7 @@ class TestVerifiedTokenMemo:
         for _ in range(2):
             with pytest.raises(SignatureInvalid):
                 verify_bearer(forged, make_config(), cache)
-        assert cache.recall(forged) is None
+        assert cache.recall(forged, make_config()) is None
         assert len(signature_checks) == 2
 
     def test_remembered_token_still_expires(self, signer, signature_checks):
@@ -713,7 +713,7 @@ class TestVerifiedTokenMemo:
                 verify_bearer(token, other, cache)
         assert verify_bearer(token, make_config(), cache) is first
         assert validations == [TEST_RESOURCE] + ["http://other.test/mcp"] * 2
-        assert len(signature_checks) == 1, "the signature is checked once per key set"
+        assert len(signature_checks) == 3, "only an accepted token is remembered"
 
     def test_failed_claims_are_validated_again_on_each_call(self, signer, signature_checks):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
@@ -721,8 +721,8 @@ class TestVerifiedTokenMemo:
         for _ in range(2):
             with pytest.raises(InsufficientScope):
                 verify_bearer(token, make_config(), cache)
-        assert cache.recall(token).identity is None
-        assert len(signature_checks) == 1
+        assert cache.recall(token, make_config()) is None
+        assert len(signature_checks) == 2
 
     def test_remembered_token_is_not_yet_valid_before_its_nbf(self, signer, signature_checks):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
@@ -753,8 +753,8 @@ class TestVerifiedTokenMemo:
                   for _ in range(MAX_VERIFIED_TOKENS + 1)]
         for token in minted:
             verify_bearer(token, make_config(), cache)
-        assert cache.recall(minted[0]) is None
-        assert all(cache.recall(token) is not None for token in minted[1:])
+        assert cache.recall(minted[0], make_config()) is None
+        assert all(cache.recall(token, make_config()) is not None for token in minted[1:])
 
     def test_a_token_in_use_stays_remembered_among_others(self, signer, signature_checks):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
@@ -766,6 +766,28 @@ class TestVerifiedTokenMemo:
         assert len(signature_checks) == 1 + MAX_VERIFIED_TOKENS, (
             "the least recently used token is dropped, not the oldest"
         )
+
+    def test_a_set_stored_during_the_signature_check_is_not_answered_by_the_memo(
+        self, signer, signature_checks, monkeypatch, caplog
+    ):
+        clock = [0.0]
+        cache = JwksCache(TEST_ISSUER, ttl=300, fetcher=CountingFetcher(signer),
+                          clock=lambda: clock[0])
+        token = signer.issue_token_for("developer-persona")
+        counted = tokens.verify_signature
+
+        def replaced_midway(jwt, keys):
+            if not signature_checks:
+                clock[0] += 300.0  # ttl passed: this get() stores a new set
+                cache.get()
+            return counted(jwt, keys)
+
+        monkeypatch.setattr(tokens, "verify_signature", replaced_midway)
+        assert verify_bearer(token, make_config(), cache).subject == "developer-persona"
+        assert cache.recall(token, make_config()) is None
+        assert logged(caplog, token, make_config(), cache) == [VERIFYING, AUTHENTICATED]
+        assert len(signature_checks) == 2
+        assert logged(caplog, token, make_config(), cache) == []
 
     def test_concurrent_verifications_of_one_token_agree(self, signer):
         cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
