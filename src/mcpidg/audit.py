@@ -1,10 +1,11 @@
 """Append-only JSON Lines sink for the authorization audit trail.
 
-The sink knows no record schema: the server builds each record, and the
-sink writes it as one compact JSON line, its keys in the order given. It
-is fail-closed: if a record cannot be handed to the operating system,
-in one write(2) to an O_APPEND descriptor before the reply is sent, the
-request that produced it must fail rather than complete unrecorded.
+The sink knows no record schema and encodes nothing: the server builds
+each record as one compact JSON line, and the sink writes it as given,
+ending it with a newline. It is fail-closed: if a record cannot be
+handed to the operating system, in one write(2) to an O_APPEND
+descriptor before the reply is sent, the request that produced it must
+fail rather than complete unrecorded.
 Records are not fsync'd, so a host crash can still lose the last few.
 
 The descriptor stays open between records. Before each record the path
@@ -63,8 +64,9 @@ class AuditLog:
             except OSError:
                 pass  # the failure was reported by the append that hit it
 
-    def append(self, record: dict[str, Any]) -> None:
-        data = (protocol.encode_json(record) + "\n").encode("utf-8")
+    def append(self, line: str) -> None:
+        """Write one encoded record, without its newline, as one line."""
+        data = f"{line}\n".encode("utf-8")
         with self._lock:
             try:
                 written = os.write(self._descriptor(), data)

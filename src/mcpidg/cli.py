@@ -453,8 +453,9 @@ class ConsoleHandler(logging.StreamHandler):
             super().emit(record)
             return
         try:
+            # Handler.handle holds the lock that self.flush() would take again.
             self.stream.write(f"{record.levelname}  {record.getMessage()}\n")
-            self.flush()
+            self.stream.flush()
         except RecursionError:  # as StreamHandler.emit does
             raise
         except Exception:

@@ -391,5 +391,6 @@ class Handler(socketserver.BaseRequestHandler):
         sent, so a client holding its reply can already find the line.
         """
         reason = _REASONS.get(reply.status, "")
-        self.server.log.info('"%s %s HTTP/1.1" %d %s', method, path, reply.status, reason)
+        # Formatted here: a record without args is not formatted again.
+        self.server.log.info(f'"{method} {path} HTTP/1.1" {reply.status} {reason}')
         self.request.sendall(_response(reply, close))

@@ -115,10 +115,25 @@ def parse_json(data: bytes) -> Any:
         raise ParseError(f"malformed JSON body: {exc}") from exc
 
 
-# The encoder of every compact JSON document the package writes, the
-# counterpart of parse_json: json.dumps(doc, separators=(",", ":")) without
-# building an encoder on each call.
-encode_json = json.JSONEncoder(separators=(",", ":")).encode
+def _unencodable(value: Any) -> Any:
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# The C encoder JSONEncoder.iterencode builds for each one-shot call of
+# json.dumps(doc, separators=(",", ":")), built once. With no markers dict
+# it keeps no state between calls, so every thread can share it.
+_ENCODER = json.encoder.c_make_encoder(
+    None, _unencodable, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
+
+def encode_json(doc: Any) -> str:
+    """json.dumps(doc, separators=(",", ":")), the counterpart of parse_json.
+
+    A value JSON cannot hold raises TypeError. A cyclic document raises
+    RecursionError: with no markers, the encoder cannot see the cycle.
+    """
+    return "".join(_ENCODER(doc, 0))
 
 
 def decode_request(doc: Any) -> RpcRequest:

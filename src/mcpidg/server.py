@@ -9,11 +9,12 @@ access decision (fail-closed).
 
 from __future__ import annotations
 
+import itertools
 import logging
+import os
 import time
-import uuid
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -22,7 +23,7 @@ from .audit import AuditLog, AuditSinkFailure
 from .httpserve import Reply
 from .policy import PolicyTable, ToolRegistry, authorize, visible_tools
 from .tokens import (
-    InsufficientScope, JwksCache, TokenError, VerifierConfig, verify_bearer,
+    InsufficientScope, JwksCache, TokenError, ValidatedIdentity, VerifierConfig, verify_bearer,
 )
 
 log = logging.getLogger("mcpidg.server")
@@ -75,6 +76,29 @@ INITIALIZE_RESULT = {
     "capabilities": {"tools": {"listChanged": False}},
     "serverInfo": {"name": "mcpidg", "version": __version__},
 }
+
+
+# An audit record's request_id: unique within the process by its counter,
+# and across processes by its random prefix.
+_REQUEST_ID_PREFIX = os.urandom(8).hex()
+_REQUEST_SEQUENCE = itertools.count(1)
+
+# A record's identity part when no token was accepted.
+_ANONYMOUS_FIELDS = '"subject":"-","roles":[],"scopes":[]'
+
+
+@lru_cache(maxsize=tokens.MAX_VERIFIED_TOKENS)
+def _identity_fields(identity: ValidatedIdentity) -> str:
+    """An audit record's subject, sorted roles and sorted scopes, encoded once per identity."""
+    roles, scopes = sorted(identity.roles), sorted(identity.scopes)
+    members = {"subject": identity.subject, "roles": roles, "scopes": scopes}
+    return protocol.encode_json(members)[1:-1]  # without the braces
+
+
+@lru_cache(maxsize=1)
+def _utc_second(second: int) -> str:
+    """The RFC 3339 UTC date and time of a whole second, formatted once per second."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
 
 
 def _rpc_reply(response: protocol.RpcResponse) -> Reply:
@@ -211,23 +235,21 @@ class McpApp:
                 if decision.missing_scopes:
                     deny_reason["missing"] = sorted(decision.missing_scopes)
 
-        # 2. Audit: the record's keys, in this order. The subject is
-        # unmasked; console logs carry the masked form.
-        record: dict[str, Any] = {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "request_id": str(uuid.uuid4()),
-            "subject": identity.subject if identity else "-",
-            "roles": sorted(identity.roles) if identity else [],
-            "scopes": sorted(identity.scopes) if identity else [],
-            "tool": tool,
-            "decision": outcome,
-        }
-        if deny_reason is not None:
-            record["deny_reason"] = deny_reason
-        record["validation_latency_us"] = validation_us
-        record["total_latency_us"] = int((time.perf_counter() - started) * 1e6)
+        # 2. Audit: the record's keys, in this order, on one compact line
+        # spliced from encoded parts. The subject is unmasked; console logs
+        # carry the masked form.
+        second, micros = divmod(time.time_ns() // 1000, 1_000_000)
+        denied = f'"deny_reason":{protocol.encode_json(deny_reason)},' if deny_reason else ""
+        line = (
+            f'{{"timestamp":"{_utc_second(second)}.{micros:06d}+00:00",'
+            f'"request_id":"{_REQUEST_ID_PREFIX}-{next(_REQUEST_SEQUENCE)}",'
+            f'{_identity_fields(identity) if identity else _ANONYMOUS_FIELDS},'
+            f'"tool":{protocol.encode_json(tool)},"decision":"{outcome}",{denied}'
+            f'"validation_latency_us":{validation_us},'
+            f'"total_latency_us":{int((time.perf_counter() - started) * 1e6)}}}'
+        )
         try:
-            self.audit.append(record)
+            self.audit.append(line)
         except AuditSinkFailure as exc:
             log.error("audit sink failure: %s", exc)
             if identity is None:

@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,74 @@ def test_response_round_trip(resp):
 @given(_json_values)
 def test_encode_json_writes_the_bytes_of_compact_json_dumps(value):
     assert protocol.encode_json(value) == json.dumps(value, separators=(",", ":"))
+
+
+# Strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates.
+_escaped_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+        st.characters(),
+        st.characters(categories=["Cs"]),
+    ),
+    max_size=12,
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_escaped_text, children, max_size=4)
+    )
+
+
+_any_json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False), _escaped_text,
+    ),
+    _containers,
+    max_leaves=16,
+)
+
+
+@given(_any_json_values)
+def test_encode_json_escapes_as_the_stdlib_does(value):
+    assert protocol.encode_json(value) == json.dumps(value, separators=(",", ":"))
+
+
+def test_encode_json_is_shared_by_threads():
+    import threading
+
+    from mcpidg.server import INITIALIZE_RESULT
+
+    start, results = threading.Barrier(8), []
+
+    def encode_many():
+        start.wait()
+        results.extend([protocol.encode_json(INITIALIZE_RESULT) for _ in range(1000)])
+
+    threads = [threading.Thread(target=encode_many) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8000
+    assert set(results) == {json.dumps(INITIALIZE_RESULT, separators=(",", ":"))}
+
+
+def test_encode_json_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        protocol.encode_json({"value": object()})
+    cyclic: list = []
+    cyclic.append(cyclic)
+    with pytest.raises(RecursionError):
+        protocol.encode_json(cyclic)
 
 
 @given(_requests)

@@ -10,7 +10,9 @@ from conftest import mcp_post, rpc
 from mcpidg import audit, harness, httpclient, protocol
 from mcpidg.audit import AuditSinkFailure, AuditLog, read_records
 from mcpidg.httpserve import BindFailure
+from mcpidg.idp import UserRecord
 from mcpidg.policy import authorize
+from mcpidg.protocol import encode_json
 from mcpidg.server import (
     MalformedAuthorizationHeader,
     McpApp,
@@ -20,6 +22,7 @@ from mcpidg.server import (
     log as server_log,
     serve,
 )
+from mcpidg.stack import start_stack
 from mcpidg.tokens import ValidatedIdentity, b64url_encode
 from mcpidg.tools import default_policy, default_registry
 
@@ -465,6 +468,53 @@ class TestAudit:
         ids = [r["request_id"] for r in records]
         assert len(ids) == len(set(ids)) == 25
 
+    def test_request_ids_stay_unique_across_threads_and_stacks(self, stack, tmp_path):
+        import threading
+
+        def serve_calls(local):
+            token = mint(local, "developer-persona")
+
+            def worker(worker_id):
+                for i in range(10):
+                    call = rpc("tools/call", f"{worker_id}-{i}",
+                               {"name": "docs_search", "arguments": {}})
+                    assert mcp_post(local.mcp_url, call, token).status == 200
+
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            return [r["request_id"] for r in read_records(local.audit_path)]
+
+        with start_stack(audit_path=str(tmp_path / "second.jsonl")) as second:
+            ids = [serve_calls(stack), serve_calls(second)]
+        assert all(isinstance(i, str) for i in ids[0] + ids[1])
+        assert len(set(ids[0])) == len(set(ids[1])) == 80
+        assert set(ids[0]).isdisjoint(ids[1])
+
+    def test_spliced_lines_escape_what_the_client_and_the_idp_chose(self, tmp_path):
+        username = 'd\u00e9v"el\\oper'
+        tool = 'a"b\\c\né '
+        user = UserRecord(username, frozenset({"developer"}),
+                          frozenset({"openid", "profile", "mcp.docs.read"}))
+        with start_stack(audit_path=str(tmp_path / "audit.jsonl"), users=(user,)) as local:
+            token = local.idp.core.issue_token_for(username)
+            for name in (tool, "docs_search"):
+                call = rpc("tools/call", 1, {"name": name, "arguments": {}})
+                assert mcp_post(local.mcp_url, call, token).status == 200
+            assert mcp_post(local.mcp_url, rpc("tools/call", 2, {"name": tool})).status == 401
+        with open(local.audit_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [json.dumps(r, separators=(",", ":")) for r in records] == lines
+        assert [(r["decision"], r["subject"], r["tool"]) for r in records] == [
+            ("deny", username, tool),
+            ("allow", username, "docs_search"),
+            ("unauthenticated", "-", "-"),
+        ]
+        assert records[0]["deny_reason"] == {"kind": "unknown_tool"}
+
     def test_non_tool_methods_not_audited(self, stack):
         token = mint(stack, "developer-persona")
         mcp_post(stack.mcp_url, rpc("initialize", 1), token)
@@ -571,7 +621,7 @@ class TestAudit:
     def test_sink_reopens_after_a_failed_append(self, tmp_path):
         path = str(tmp_path / "audit.jsonl")
         sink = AuditLog(path)
-        record = {"decision": "unauthenticated"}
+        record = encode_json({"decision": "unauthenticated"})
         try:
             sink.append(record)
             sink.path = str(tmp_path)  # a directory, not a file
@@ -588,15 +638,15 @@ class TestAudit:
         real_write = os.write
         sink = AuditLog(path)
         try:
-            sink.append({"n": 1})
+            sink.append(encode_json({"n": 1}))
             sink.close()  # the next open finds a file that ends its last line
-            sink.append({"n": 2})
+            sink.append(encode_json({"n": 2}))
             monkeypatch.setattr(audit.os, "write", lambda fd, data: real_write(fd, data[:5]))
             with pytest.raises(AuditSinkFailure, match="5 of 14 bytes"):
-                sink.append({"n": {"n": 3}})
+                sink.append(encode_json({"n": {"n": 3}}))
             monkeypatch.undo()
-            sink.append({"n": 4})
-            sink.append({"n": 5})
+            sink.append(encode_json({"n": 4}))
+            sink.append(encode_json({"n": 5}))
         finally:
             sink.close()
         with open(path, "rb") as fh:

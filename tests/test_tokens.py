@@ -882,7 +882,7 @@ class TestVerificationLog:
             "malformed": ("not-a-jwt", MalformedToken),
             "unknown_kid": (unsigned_token({"alg": "RS256", "kid": "forged"}, claims_for()),
                             UnknownKeyId),
-            # Remembered after its signature passed; its claims are validated again each call.
+            # Never remembered, as only accepted tokens are: each call verifies it whole again.
             "claims_failed": (signer.sign_claims(claims_for(exp=int(time.time()) + 300,
                                                             scope="openid")), InsufficientScope),
         }[kind]
