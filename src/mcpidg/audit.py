@@ -65,8 +65,8 @@ class AuditLog:
                 pass  # the failure was reported by the append that hit it
 
     def append(self, line: str) -> None:
-        """Write one encoded record, without its newline, as one line."""
-        data = f"{line}\n".encode("utf-8")
+        """Write one encoded record, a str without its newline (else TypeError), as one line."""
+        data = (line + "\n").encode("utf-8")
         with self._lock:
             try:
                 written = os.write(self._descriptor(), data)

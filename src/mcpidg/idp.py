@@ -207,7 +207,7 @@ _KID_SEQUENCE = itertools.count(1)
 
 
 class MockIdp:
-    """Protocol core; the HTTP layer in serve_idp() is a thin adapter."""
+    """Protocol core; IdpHandle.launch's endpoint() adapter puts it on HTTP."""
 
     def __init__(
         self,
@@ -419,10 +419,6 @@ def _json_reply(doc: dict[str, Any], status: int = 200) -> Reply:
     return Reply(status, {"Content-Type": "application/json"}, body)
 
 
-def _error_reply(exc: IdpError) -> Reply:
-    return _json_reply({"error": exc.oauth_error, "error_description": str(exc)}, exc.http_status)
-
-
 def _form(data: str | bytes) -> dict[str, str]:
     """The fields of a form; IdpError if not UTF-8, past MAX_FORM_FIELDS or repeating
     one (RFC 6749 §3.1; a field without a value counts as omitted, as parse_qs does)."""
@@ -451,10 +447,6 @@ class IdpHandle(httpserve.HttpServer):
     def issuer(self) -> str:
         return self.core.issuer
 
-    def count(self, endpoint: str) -> None:
-        with self._counter_lock:
-            self._counters.update((endpoint, "total"))
-
     def counters(self) -> dict[str, int]:
         with self._counter_lock:
             return dict(self._counters)
@@ -463,41 +455,46 @@ class IdpHandle(httpserve.HttpServer):
     def total_requests(self) -> int:
         return self.counters().get("total", 0)
 
-    # -- routes --------------------------------------------------------------
-
-    def _discovery(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
-        self.count("discovery")
-        return _json_reply(self.core.discovery_document())
-
-    def _jwks(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
-        self.count("jwks")
-        return _json_reply(self.core.jwks_document())
-
-    def _authorize(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
-        self.count("authorize")
-        try:
-            location = self.core.handle_authorize(_form(query))
-        except IdpError as exc:
-            return _error_reply(exc)
-        return Reply(302, {"Location": location})
-
-    def _token(self, query: str, headers: dict[str, str], body: bytes) -> Reply:
-        self.count("token")
-        try:
-            return _json_reply(self.core.handle_token(_form(body)))
-        except IdpError as exc:
-            return _error_reply(exc)
-
     def launch(self, config: IdpConfig) -> "IdpHandle":
         """serve_idp on this bound listener: config.bind_address is not read."""
         issuer = config.issuer_url or self.origin + ISSUER_PATH
-        self.core = MockIdp(issuer, config.audience, config.users, config.clients)
+        core = self.core = MockIdp(issuer, config.audience, config.users, config.clients)
         prefix = urlsplit(issuer).path.rstrip("/")
+
+        def endpoint(name: str, answer: Callable[[str, bytes], Reply]) -> httpserve.Route:
+            """The route that counts each request to name and answers an IdpError
+            as one JSON object with error and error_description (RFC 6749 §5.2)."""
+
+            def route(query: str, headers: dict[str, str], body: bytes) -> Reply:
+                with self._counter_lock:
+                    self._counters.update((name, "total"))
+                try:
+                    return answer(query, body)
+                except IdpError as exc:
+                    error = {"error": exc.oauth_error, "error_description": str(exc)}
+                    return _json_reply(error, exc.http_status)
+
+            return route
+
+        def token(query: str, body: bytes) -> Reply:
+            reply = _json_reply(core.handle_token(_form(body)))
+            reply.headers["Cache-Control"] = "no-store"  # it holds a token (RFC 6749 §5.1)
+            return reply
+
+        # The answers look up core's methods per request, so a wrapper set on MockIdp later
+        # still applies.
         self.routes = {
-            ("GET", prefix + DISCOVERY_PATH): self._discovery,
-            ("GET", f"{prefix}/jwks"): self._jwks,
-            ("GET", f"{prefix}/authorize"): self._authorize,
-            ("POST", f"{prefix}/token"): self._token,
+            ("GET", prefix + DISCOVERY_PATH): endpoint(
+                "discovery", lambda query, body: _json_reply(core.discovery_document())
+            ),
+            ("GET", f"{prefix}/jwks"): endpoint(
+                "jwks", lambda query, body: _json_reply(core.jwks_document())
+            ),
+            ("GET", f"{prefix}/authorize"): endpoint(
+                "authorize",
+                lambda query, body: Reply(302, {"Location": core.handle_authorize(_form(query))}),
+            ),
+            ("POST", f"{prefix}/token"): endpoint("token", token),
         }
         self.start("mcpidg-idp")
         return self

@@ -597,7 +597,19 @@ class TestAudit:
     def test_append_failure_raises(self, tmp_path):
         sink = AuditLog(str(tmp_path))  # a directory, not a file
         with pytest.raises(AuditSinkFailure):
-            sink.append({"decision": "unauthenticated"})
+            sink.append(encode_json({"decision": "unauthenticated"}))
+
+    def test_append_refuses_a_record_that_is_not_a_str(self, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        sink = AuditLog(path)
+        try:
+            with pytest.raises(TypeError):
+                sink.append({"n": 1})
+            assert not os.path.exists(path)
+            sink.append(encode_json({"n": 1}))
+        finally:
+            sink.close()
+        assert read_records(path) == [{"n": 1}]
 
     def test_renamed_sink_is_followed_by_a_new_file(self, stack):
         token = mint(stack, "developer-persona")
