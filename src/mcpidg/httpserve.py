@@ -232,7 +232,10 @@ def _response(reply: Reply, close: bool) -> bytes:
 
 
 class HttpServer(socketserver.ThreadingTCPServer):
-    """A server bound at construction; start() serves it from a thread."""
+    """A server bound at construction; start() serves it from a thread.
+
+    Each connection is served by finish_request on a thread of its own.
+    """
 
     allow_reuse_address = True
 
@@ -247,7 +250,8 @@ class HttpServer(socketserver.ThreadingTCPServer):
         # Kept as given: "localhost" stays "localhost" in the URLs built on it.
         self.host, _, port = bind_address.rpartition(":")
         try:
-            super().__init__((self.host, int(port)), Handler)
+            # No handler class: finish_request, its only reader, is overridden.
+            super().__init__((self.host, int(port)), None)
         except (OSError, ValueError, OverflowError) as exc:
             raise BindFailure(f"cannot bind {bind_address!r}: {exc}") from exc
 
@@ -318,38 +322,30 @@ class HttpServer(socketserver.ThreadingTCPServer):
         # A peer that went before its handler started is routine, not a traceback.
         self.log.debug("connection error from %s", client_address, exc_info=True)
 
-
-class Handler(socketserver.BaseRequestHandler):
-    """Parses each request head, routes it, reads bounded bodies, replies in one write."""
-
-    server: HttpServer
-    timeout = IDLE_TIMEOUT_S
-
-    def setup(self) -> None:
+    def finish_request(self, connection: socket.socket, client_address) -> None:
+        """Parses each request head, routes it, reads bounded bodies, replies in one write."""
         # A reply that follows a 100 Continue, or the tail of a large one, would
         # otherwise wait for the peer's delayed ACK (Nagle's algorithm, ~40 ms).
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.stream = Stream(self.request)  # keeps pipelined bytes for the next request
-
-    def handle(self) -> None:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        stream = Stream(connection)  # keeps pipelined bytes for the next request
         try:
-            while self._serve_one() and self.server.mark(self.request, waiting=True):
+            while self._serve_one(stream) and self.mark(connection, waiting=True):
                 pass
         except OSError:
             pass  # the peer went, sent nothing for IDLE_TIMEOUT_S, or broke a request's bounds
 
-    def _serve_one(self) -> bool:
+    def _serve_one(self, stream: Stream) -> bool:
         """Read and answer one request; False once the connection is to close."""
-        if not self.stream.buffer and not self.stream.receive(time.monotonic() + self.timeout):
+        if not stream.buffer and not stream.receive(time.monotonic() + IDLE_TIMEOUT_S):
             return False
         deadline = time.monotonic() + HEAD_TIMEOUT_S  # from the request's first byte
-        head = self.stream.head(deadline)
-        if not self.server.mark(self.request, waiting=False):
+        head = stream.head(deadline)
+        if not self.mark(stream.sock, waiting=False):
             return False
         status, method, target, version, headers = parse_request(head)
         path, _, query = target.partition("?")
         if status:
-            self.send(method, path, Reply(status), close=True)
+            self.send(stream.sock, method, path, Reply(status), close=True)
             return False
         # The body's framing is decided here. Only a routed POST reads its
         # body; one left unread would be parsed as the next request, so its
@@ -362,7 +358,7 @@ class Handler(socketserver.BaseRequestHandler):
             else 0
         )
         unread = bool(refusal or length)
-        route = self.server.routes.get((method, path))
+        route = self.routes.get((method, path))
         if route is None:
             reply = Reply(404 if method in ("GET", "POST") else 501)
         elif method == "POST" and refusal:
@@ -371,19 +367,21 @@ class Handler(socketserver.BaseRequestHandler):
             body = b""
             if method == "POST":
                 if headers.get("expect", "").lower() == "100-continue" and version == "HTTP/1.1":
-                    self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-                self.stream.receive_until(length, deadline)
-                body, unread = self.stream.take(length), False
+                    stream.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                stream.receive_until(length, deadline)
+                body, unread = stream.take(length), False
             try:
                 reply = route(query, headers, body)
             except Exception:
-                self.server.log.exception("unhandled server error")
+                self.log.exception("unhandled server error")
                 reply = Reply(500)
-        close = unread or closes_connection(version, headers) or self.server.stopping
-        self.send(method, path, reply, close)
+        close = unread or closes_connection(version, headers) or self.stopping
+        self.send(stream.sock, method, path, reply, close)
         return not close
 
-    def send(self, method: str, path: str, reply: Reply, close: bool) -> None:
+    def send(
+        self, connection: socket.socket, method: str, path: str, reply: Reply, close: bool
+    ) -> None:
         """Send one complete response and write its access-log line.
 
         The line carries the path without its query, which may hold a
@@ -392,5 +390,5 @@ class Handler(socketserver.BaseRequestHandler):
         """
         reason = _REASONS.get(reply.status, "")
         # Formatted here: a record without args is not formatted again.
-        self.server.log.info(f'"{method} {path} HTTP/1.1" {reply.status} {reason}')
-        self.request.sendall(_response(reply, close))
+        self.log.info(f'"{method} {path} HTTP/1.1" {reply.status} {reason}')
+        connection.sendall(_response(reply, close))

@@ -412,6 +412,33 @@ class TestMalformedReplies:
         assert not any(r.exc_info for r in caplog.records)
 
 
+def _key_provider(stub, signer, discovery_status=200, jwks_status=200, jwks=None, **discovery):
+    """Make the stub a provider serving ``signer``'s key set, or the reply the arguments spoil."""
+    issuer, _ = _stub_provider(stub, **discovery)
+    if discovery_status != 200:
+        stub.replies["/realms/x/.well-known/openid-configuration"] = (discovery_status, b"", {})
+    document = signer.jwks_document() if jwks is None else jwks
+    stub.replies["/realms/x/jwks"] = (jwks_status, json.dumps(document).encode(), {})
+    return issuer
+
+
+class TestKeyFetchFailsClosed:
+    """The default fetcher refuses an unusable reply; the next get() fetches again."""
+
+    @pytest.mark.parametrize("spoiled, cause", [
+        ({"discovery_status": 503}, "discovery endpoint returned 503"),
+        ({"jwks_uri": None}, "lacks a string jwks_uri"),
+        ({"jwks_status": 500}, "JWKS endpoint returned 500"),
+        ({"jwks": {"kid": "k"}}, "'keys' array"),
+    ], ids=["discovery-503", "no-jwks-uri", "jwks-500", "no-keys-array"])
+    def test_unusable_reply_is_unreachable_until_a_good_one(self, stub, signer, spoiled, cause):
+        cache = tokens.JwksCache(_key_provider(stub, signer, **spoiled))
+        with pytest.raises(tokens.JwksUnreachable, match=cause):
+            cache.get()
+        _key_provider(stub, signer)
+        assert cache.get().public_key(signer.active_kid()) is not None
+
+
 def _token_response(token_type) -> bytes:
     """A token response whose token_type is ``token_type``, or absent for None."""
     body = {"access_token": "t", "expires_in": 300}
@@ -649,6 +676,21 @@ class TestTokenStore:
         reader = TokenStore(path)
         assert all(reader.get(f"http://rs-{w}-{i}/mcp") for w in range(8) for i in range(5))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+    def test_failed_replace_keeps_the_old_store_and_leaves_nothing_beside_it(
+        self, tmp_path, monkeypatch
+    ):
+        store = TokenStore(str(tmp_path / "t.json"))
+        store.put("http://rs/mcp", "old", expires_at=9_999_999_999)
+
+        def refuse(src, dst):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no space left"):
+            store.put("http://rs/mcp", "new", expires_at=9_999_999_999)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+        assert store.get("http://rs/mcp").access_token == "old"
 
     def test_multiple_resources_kept_separate(self, tmp_path):
         store = TokenStore(str(tmp_path / "t.json"))

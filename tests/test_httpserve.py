@@ -266,7 +266,7 @@ def test_start_stack_closes_the_provider_when_the_server_cannot_bind(monkeypatch
 
 
 def test_idle_connection_closed_after_the_timeout(monkeypatch, stack):
-    monkeypatch.setattr(httpserve.Handler, "timeout", 0.2)
+    monkeypatch.setattr(httpserve, "IDLE_TIMEOUT_S", 0.2)
     target = Target(stack.server.port, "/.well-known/oauth-protected-resource", "/mcp")
     sock, rfile = connect(target.port)
     with sock, rfile:
@@ -302,7 +302,7 @@ def test_client_reuses_one_connection_per_origin(stack, connects):
 def test_client_retries_once_when_the_server_dropped_an_idle_connection(
     monkeypatch, stack, connects
 ):
-    monkeypatch.setattr(httpserve.Handler, "timeout", 0.1)
+    monkeypatch.setattr(httpserve, "IDLE_TIMEOUT_S", 0.1)
     metadata = stack.server.app.metadata_url
     assert httpclient.get(metadata).status == 200
     time.sleep(0.5)  # the server closes the idle connection meanwhile

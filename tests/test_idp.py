@@ -8,6 +8,7 @@ import oracles
 from conftest import TEST_ISSUER, TEST_RESOURCE
 from mcpidg import httpclient
 from mcpidg.idp import (
+    ClientRegistration,
     IdpError,
     InvalidGrant,
     MissingPkceChallenge,
@@ -15,7 +16,9 @@ from mcpidg.idp import (
     PkceVerificationFailed,
     RedirectUriNotWhitelisted,
     UnknownClient,
+    UnknownUser,
     UnsupportedChallengeMethod,
+    default_clients,
     s256_challenge,
 )
 from mcpidg.harness import generate_pkce
@@ -96,6 +99,12 @@ class TestAuthorize:
             idp_core.handle_authorize(
                 authorize_params(generate_pkce(), code_challenge_method="plain")
             )
+
+    def test_unregistered_user_is_access_denied(self, idp_core):
+        with pytest.raises(UnknownUser) as excinfo:
+            idp_core.handle_authorize(authorize_params(generate_pkce(), persona="intruder"))
+        assert excinfo.value.oauth_error == "access_denied"
+        assert idp_core._codes == {}
 
     @pytest.mark.parametrize("response_type", [None, "token"], ids=["absent", "token"])
     def test_response_type_other_than_code_is_invalid_request(self, idp_core, response_type):
@@ -202,6 +211,18 @@ class TestToken:
         with pytest.raises(PkceVerificationFailed):
             idp_core.handle_token(token_params(code, pkce, code_verifier="wrong" * 9))
         response = idp_core.handle_token(token_params(code, pkce))
+        assert "access_token" in response
+
+    def test_code_redeemed_by_another_client_is_invalid_grant_and_kept(self):
+        other = ClientRegistration("other-ide", frozenset({REDIRECT}))
+        core = MockIdp(
+            issuer=TEST_ISSUER, audience=TEST_RESOURCE, clients=default_clients() + (other,)
+        )
+        pkce = generate_pkce()
+        code = code_from(core.handle_authorize(authorize_params(pkce)))
+        with pytest.raises(InvalidGrant):
+            core.handle_token(token_params(code, pkce, client_id="other-ide"))
+        response = core.handle_token(token_params(code, pkce))
         assert "access_token" in response
 
 

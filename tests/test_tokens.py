@@ -11,6 +11,7 @@ import oracles
 from conftest import TEST_ISSUER, TEST_RESOURCE
 from mcpidg import tokens
 from mcpidg.idp import MockIdp
+from mcpidg.policy import authorize
 from mcpidg.tokens import (
     DEFAULT_CLOCK_SKEW,
     MAX_VERIFIED_TOKENS,
@@ -617,6 +618,33 @@ class TestVerifyBearer:
         for token, expected_error in cases:
             with pytest.raises(expected_error):
                 verify_bearer(token, config, cache)
+
+
+class TestClaimsOfTheWrongType:
+    """A signed token whose claim has the wrong JSON type gets nothing from it."""
+
+    @staticmethod
+    def token(signer, **overrides) -> str:
+        claims = signer.standard_claims("developer-persona", frozenset({"openid", "profile"}))
+        return signer.sign_claims(claims | overrides)
+
+    def test_scope_as_an_array_grants_no_scope(self, signer):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        with pytest.raises(InsufficientScope) as excinfo:
+            verify_bearer(self.token(signer, scope=["openid", "profile"]), make_config(), cache)
+        assert excinfo.value.missing == {"openid", "profile"}
+
+    def test_audience_as_a_number_names_no_resource(self, signer):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        with pytest.raises(WrongAudience):
+            verify_bearer(self.token(signer, aud=42), make_config(), cache)
+
+    def test_roles_as_a_string_grant_no_role(self, signer, policy, registry):
+        cache = JwksCache(TEST_ISSUER, fetcher=CountingFetcher(signer))
+        identity = verify_bearer(self.token(signer, roles="developer"), make_config(), cache)
+        assert identity.roles == frozenset()  # not the string's characters
+        decision = authorize(identity, "docs_search", policy, registry)
+        assert (decision.outcome, decision.reason) == ("deny", "no_matching_role")
 
 
 # -- verified-token memo ----------------------------------------------------------
